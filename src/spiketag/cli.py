@@ -236,9 +236,9 @@ def cmd_inspect(args):
     emb = np.stack([table.lookup(t) for t in tokens]).astype(np.float32)[None, :, :]
     mask = np.ones((1, len(tokens)), dtype=np.float32)
     _, trace = forward(emb, net, net_cfg, mask=mask)
-    final = trace.spk[-1]  # last spiking layer, per timestep
-    pos = sum((spk > 0).sum(axis=2)[0] for spk in final)
-    neg = sum((spk < 0).sum(axis=2)[0] for spk in final)
+    final = trace.spk[-1].block  # last spiking layer, (T, 1, R, C)
+    pos = (final > 0).sum(axis=(0, 3))[0]
+    neg = (final < 0).sum(axis=(0, 3))[0]
     print("token\tpos_spikes\tneg_spikes")
     for i, tok in enumerate(tokens):
         print(f"{tok}\t{int(pos[i])}\t{int(neg[i])}")

@@ -75,41 +75,25 @@ def flops_fc(u, u_prev):
     return float(u) * u_prev * 2.0
 
 
-def firing_rate(spike_trace, time_steps, mask=None):
-    """Fraction of neuron-timesteps with a nonzero spike; -1 spikes count.
+def spike_counts(spikes, mask=None):
+    """(nonzero, negative, neuron-timesteps) of one layer's spike block.
 
-    spike_trace is the per-timestep list of (B, R, C) spike maps for one
-    layer; mask restricts the count to real token positions.
+    spikes is (T, B, R, C), or a per-timestep sequence of (B, R, C) maps;
+    mask (B, R) restricts every count to real token positions.
     """
-    nonzero = 0.0
-    neurons = 0.0
-    for spk in spike_trace:
-        active = (spk != 0).astype(np.float64)
-        if mask is not None:
-            active = active * mask[:, :, None]
-            neurons += float(mask.sum()) * spk.shape[-1]
-        else:
-            neurons += float(spk[..., 0].size) * spk.shape[-1]
-        nonzero += float(active.sum())
-    if neurons == 0:
-        return 0.0
-    return nonzero / neurons
+    spikes = np.asarray(spikes)
+    nonzero = (spikes != 0).sum(axis=(0, 3))  # per token position
+    negative = (spikes < 0).sum(axis=(0, 3))
+    if mask is None:
+        return float(nonzero.sum()), float(negative.sum()), float(spikes.size)
+    neurons = float(mask.sum()) * spikes.shape[0] * spikes.shape[3]
+    return float((nonzero * mask).sum()), float((negative * mask).sum()), neurons
 
 
-def negative_rate(spike_trace, time_steps, mask=None):
-    neg = 0.0
-    neurons = 0.0
-    for spk in spike_trace:
-        active = (spk < 0).astype(np.float64)
-        if mask is not None:
-            active = active * mask[:, :, None]
-            neurons += float(mask.sum()) * spk.shape[-1]
-        else:
-            neurons += float(spk[..., 0].size) * spk.shape[-1]
-        neg += float(active.sum())
-    if neurons == 0:
-        return 0.0
-    return neg / neurons
+def firing_rate(spikes, mask=None):
+    """Fraction of neuron-timesteps with a nonzero spike; -1 spikes count."""
+    nonzero, _, neurons = spike_counts(spikes, mask)
+    return nonzero / neurons if neurons else 0.0
 
 
 def layer_energy(profile, model=SNN, mode="binary"):
@@ -145,16 +129,13 @@ def profile_network(net, batch, cfg) -> EnergyReport:
         cout = layer.kernels.shape[0]
         k = layer.kernels.shape[2]
         fl = flops_conv(cout, cin, mean_len, 1, k, 1)
-        gamma = firing_rate(trace.spk[li], t, batch.mask)
-        g_neg = negative_rate(trace.spk[li], t, batch.mask)
+        nonzero, negative, neurons = spike_counts(trace.spk[li].block, batch.mask)
+        gamma = nonzero / neurons if neurons else 0.0
+        g_neg = negative / neurons if neurons else 0.0
         prof = LayerProfile(
             name=f"{layer.kind}{li}", kind="conv", flops=fl,
-            gamma=gamma, gamma_neg=g_neg,
+            gamma=gamma, gamma_neg=g_neg, neg_spike_count=int(negative),
         )
-        neg_count = 0
-        for spk in trace.spk[li]:
-            neg_count += int(((spk < 0) * batch.mask[:, :, None]).sum())
-        prof.neg_spike_count = neg_count
         if layer.kind != ENCODING:
             prof.sop_costed = True
             prof.sops = t * gamma * fl

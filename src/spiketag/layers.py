@@ -8,6 +8,11 @@ postsynaptically weighted spikes of the previous layer. The output layer is
 a per-token affine decoder with no neuron state; its softmax outputs are
 summed over timesteps into per-token class scores.
 
+The forward pass runs layer by layer. A layer's drive for all T timesteps
+is one convolution over T*B rows (the encoder's, being the same at every
+step, is computed once); then the LIF recurrence, the only sequential part,
+is scanned over t. Every per-timestep quantity is one (T, B, R, C) block.
+
 When a validity mask is supplied, padded positions have their embeddings and
 emitted spikes zeroed, so a sentence's outputs do not depend on how much
 padding its batch happens to carry.
@@ -161,65 +166,125 @@ def validate_spike_alphabet(spikes, mode):
         raise ValidationError(f"spike values outside the {mode} alphabet")
 
 
-def weighted_spikes(spk, neuron, mode):
+def weighted_spikes(spk, neuron, mode, mask=None):
     """Apply the postsynaptic weights to a spike map before convolution.
 
-    Ternary mode scales the positive and negative parts separately; for hard
-    spikes this is exactly the {==+1} / {==-1} split, and it extends smoothly
-    to soft spikes.
+    spk is (..., B, R, C); a (B, R) mask, when given, zeroes padded
+    positions. Ternary mode scales the positive and negative parts
+    separately; for hard spikes this is exactly the {==+1} / {==-1} split,
+    and it extends smoothly to soft spikes.
     """
     if mode == BINARY:
-        return neuron.w_fv_pos * spk
-    pos = np.maximum(spk, 0.0)
-    neg = np.minimum(spk, 0.0)
-    return neuron.w_fv_pos * pos + neuron.w_fv_neg * neg
+        wspk = neuron.w_fv_pos * spk
+    else:
+        wspk = neuron.w_fv_pos * np.maximum(spk, 0.0) + neuron.w_fv_neg * np.minimum(spk, 0.0)
+    if mask is not None:
+        wspk *= mask[:, :, None]
+    return wspk
 
 
-def encode_step(embeddings, layer, prev, cfg, soft=False):
-    """Convolve embeddings into a drive and advance the encoder's LIF state."""
+class StepViews(tuple):
+    """One layer's (T, ...) block seen as T per-timestep arrays.
+
+    views[t] is a view of views.block[t] and is the same object on every
+    access (indexing the block itself makes a new view each time), so a
+    timestep's array can be recognised by identity.
+    """
+
+    def __new__(cls, block):
+        views = super().__new__(cls, block)
+        views.block = block
+        return views
+
+
+def _lif_scan(drive, neuron, cfg, soft, isc=None):
+    """Advance one layer's LIF state through t = 1..T, the only sequential part.
+
+    drive is (T, B, R, C); returns a NeuronState of (T, B, R, C) blocks, each
+    step's spikes, current and pre-reset potential written in place. The
+    current goes to `isc` when given, which may be `drive` itself: drive_t is
+    not read again once isc_t exists.
+    """
+    t_steps, shape = drive.shape[0], drive.shape[1:]
+    states = NeuronState(
+        spk=np.empty(drive.shape, dtype=drive.dtype),
+        isc=np.empty(drive.shape, dtype=drive.dtype) if isc is None else isc,
+        v=np.empty(drive.shape, dtype=drive.dtype),
+    )
+    state = NeuronState.zeros(shape, drive.dtype)
+    for t in range(t_steps):
+        spk, state = lif_step(
+            state, drive[t], neuron, cfg.spike_mode,
+            soft=soft, alpha=cfg.alpha, centering=cfg.surrogate_centering,
+        )
+        states.spk[t] = spk
+        states.isc[t] = state.isc
+        states.v[t] = state.v
+    return states
+
+
+def encode_step(embeddings, layer, cfg, soft=False):
+    """Run the encoding layer for all T timesteps.
+
+    The embeddings are presented unchanged at every step, so the drive is
+    one convolution reused at each t. Returns a NeuronState of (T, B, R, C)
+    blocks.
+    """
     if layer.kind != ENCODING:
         raise ConfigError(f"encode_step needs an encoding layer, got {layer.kind!r}")
     drive = conv1d_same(embeddings, layer.kernels, layer.bias, padding=cfg.padding)
-    return lif_step(
-        prev, drive, layer.neuron, cfg.spike_mode,
-        soft=soft, alpha=cfg.alpha, centering=cfg.surrogate_centering,
-    )
+    drive = np.broadcast_to(drive, (cfg.time_steps,) + drive.shape)
+    return _lif_scan(drive, layer.neuron, cfg, soft)
 
 
-def spiking_conv_step(in_spikes, layer, prev, cfg, soft=False, checked=False):
-    """Weight incoming spikes, convolve, and advance this layer's LIF state."""
+def spiking_conv_step(in_spikes, layer, cfg, mask=None, soft=False, checked=False):
+    """Run a spiking conv layer for all T timesteps.
+
+    in_spikes is the previous layer's raw (T, B, R, C) spike block and mask
+    its (B, R) validity mask. The weighted spikes are convolved in one call
+    over all T*B rows, then the LIF state is scanned over t. Returns a
+    NeuronState of (T, B, R, C) blocks.
+    """
     if layer.kind != SPIKING_CONV:
         raise ConfigError(
             f"spiking_conv_step needs a spiking_conv layer, got {layer.kind!r}"
         )
     if checked and not soft:
         validate_spike_alphabet(in_spikes, cfg.spike_mode)
-    wspk = weighted_spikes(in_spikes, layer.neuron, cfg.spike_mode)
-    drive = conv1d_same(wspk, layer.kernels, layer.bias, padding=cfg.padding)
-    return lif_step(
-        prev, drive, layer.neuron, cfg.spike_mode,
-        soft=soft, alpha=cfg.alpha, centering=cfg.surrogate_centering,
-    )
+    t_steps, b, r, c = in_spikes.shape
+    wspk = weighted_spikes(in_spikes, layer.neuron, cfg.spike_mode, mask)
+    drive = conv1d_same(wspk.reshape(t_steps * b, r, c), layer.kernels, layer.bias,
+                        padding=cfg.padding)
+    del wspk  # freed before the scan allocates this layer's trace blocks
+    drive = drive.reshape(t_steps, b, r, -1)
+    return _lif_scan(drive, layer.neuron, cfg, soft, isc=drive)
 
 
 def output_logits(in_spikes, layer):
-    """Per-token affine decode of the channel vector; no neuron dynamics."""
+    """Per-token affine decode of the channel vector; no neuron dynamics.
+
+    in_spikes is (..., C); all leading axes are decoded as one GEMM.
+    """
     if layer.kind != OUTPUT:
         raise ConfigError(f"output_logits needs an output layer, got {layer.kind!r}")
-    if in_spikes.shape[-1] != layer.kernels.shape[1]:
+    in_spikes = np.asarray(in_spikes)
+    n_out, c = layer.kernels.shape
+    if in_spikes.shape[-1] != c:
         raise DimensionError(
-            f"channel extent {in_spikes.shape[-1]} != decoder width {layer.kernels.shape[1]}"
+            f"channel extent {in_spikes.shape[-1]} != decoder width {c}"
         )
-    return in_spikes @ layer.kernels.T + layer.bias
+    logits = in_spikes.reshape(-1, c) @ layer.kernels.T + layer.bias
+    return logits.reshape(in_spikes.shape[:-1] + (n_out,))
 
 
 @dataclass
 class StateTrace:
     """Everything the backward pass needs from one forward run.
 
-    spk/isc/v are indexed [layer][t] over the spiking layers, t = 0..T-1;
-    spk holds the raw (pre-mask) spike maps. probs_t caches each timestep's
-    softmax output.
+    spk/isc/v hold one StepViews per spiking layer: trace.v[li][t] is
+    layer li's (B, R, C) potential at step t and trace.v[li].block the
+    whole (T, B, R, C) array. spk holds the raw (pre-mask) spike maps.
+    probs_t is the (T, B, R, |Y|) block of per-timestep softmax outputs.
     """
 
     embeddings: np.ndarray
@@ -227,7 +292,7 @@ class StateTrace:
     spk: list = field(default_factory=list)
     isc: list = field(default_factory=list)
     v: list = field(default_factory=list)
-    probs_t: list = field(default_factory=list)
+    probs_t: np.ndarray | None = None
     prob_class: np.ndarray | None = None
     soft: bool = False
 
@@ -240,7 +305,7 @@ def softmax3(logits):
 
 def forward(batch_embeddings, net, cfg: NetworkConfig, mask=None, soft=False,
             checked=False):
-    """Run all layers for t = 1..T and accumulate per-token class scores.
+    """Run the stack layer by layer, each layer over all T timesteps.
 
     Returns (prob_class, trace) where prob_class[i,j] sums each timestep's
     softmax, so it totals T per token. The trace caches every layer's
@@ -253,34 +318,18 @@ def forward(batch_embeddings, net, cfg: NetworkConfig, mask=None, soft=False,
     if mask is not None:
         mask = np.asarray(mask, dtype=emb.dtype)
         emb = emb * mask[:, :, None]
-    b, r, _ = emb.shape
-
-    spiking = net[:-1]
-    out_layer = net[-1]
-    states = [NeuronState.zeros((b, r, lp.kernels.shape[0]), emb.dtype) for lp in spiking]
 
     trace = StateTrace(embeddings=emb, mask=mask, soft=soft)
-    trace.spk = [[] for _ in spiking]
-    trace.isc = [[] for _ in spiking]
-    trace.v = [[] for _ in spiking]
-
-    prob = np.zeros((b, r, N_CLASSES), dtype=emb.dtype)
-    for _ in range(cfg.time_steps):
-        x = emb
-        for li, layer in enumerate(spiking):
-            if layer.kind == ENCODING:
-                spk, states[li] = encode_step(x, layer, states[li], cfg, soft=soft)
-            else:
-                spk, states[li] = spiking_conv_step(
-                    x, layer, states[li], cfg, soft=soft, checked=checked
-                )
-            trace.spk[li].append(spk)
-            trace.isc[li].append(states[li].isc)
-            trace.v[li].append(states[li].v)
-            x = spk if mask is None else spk * mask[:, :, None]
-        p_t = softmax3(output_logits(x, out_layer))
-        trace.probs_t.append(p_t)
-        prob += p_t
-
-    trace.prob_class = prob
-    return prob, trace
+    for layer in net[:-1]:
+        if layer.kind == ENCODING:
+            states = encode_step(emb, layer, cfg, soft=soft)
+        else:
+            states = spiking_conv_step(states.spk, layer, cfg, mask=mask, soft=soft,
+                                       checked=checked)
+        trace.spk.append(StepViews(states.spk))
+        trace.isc.append(StepViews(states.isc))
+        trace.v.append(StepViews(states.v))
+    x = states.spk if mask is None else states.spk * mask[:, :, None]
+    trace.probs_t = softmax3(output_logits(x, net[-1]))
+    trace.prob_class = trace.probs_t.sum(axis=0)
+    return trace.prob_class, trace

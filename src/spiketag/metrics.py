@@ -6,7 +6,7 @@ its (sentence, start, end) triple matches a gold span exactly.
 
 import numpy as np
 
-LABELS = ("O", "B", "I")
+from .data import LABELS
 
 
 def decode_bio(prob_class, mask):

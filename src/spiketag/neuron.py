@@ -33,7 +33,11 @@ CENTERINGS = (CENTER_ZERO, CENTER_THRESHOLD)
 
 @dataclass
 class NeuronState:
-    """Per-layer (spikes, synaptic current, membrane potential) at one timestep."""
+    """Per-layer (spikes, synaptic current, membrane potential).
+
+    Holds one timestep's arrays inside lif_step, and (T, ...) blocks over all
+    timesteps when a layer returns its whole run.
+    """
 
     spk: np.ndarray
     isc: np.ndarray

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .layers import NetworkConfig
 from .training import TrainConfig
 
@@ -89,16 +89,18 @@ def load(path) -> Checkpoint:
         header = json.loads(blob[header_start : header_start + header_len])
     except ValueError as exc:
         raise CheckpointError(f"{path}: header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     version = header.get("version")
     if version != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported format version {version!r} (expected {FORMAT_VERSION})"
         )
+    net_cfg, train_cfg = _stored_configs(header, path)
     payload = blob[header_start + header_len :]
     tensors = {}
     for entry in header["tensors"]:
-        name, shape = entry["name"], tuple(entry["shape"])
-        offset, nbytes = entry["offset"], entry["nbytes"]
+        name, shape, offset, nbytes = _manifest_entry(entry, path)
         expected = int(np.prod(shape, dtype=np.int64)) * PAYLOAD_DTYPE.itemsize
         if nbytes != expected:
             raise CheckpointError(
@@ -112,12 +114,40 @@ def load(path) -> Checkpoint:
             .copy()
         )
     return Checkpoint(
-        net_cfg=NetworkConfig(**header["network"]),
-        train_cfg=TrainConfig(**header["train"]),
+        net_cfg=net_cfg,
+        train_cfg=train_cfg,
         tensors=tensors,
         meta=header.get("meta", {}),
         version=version,
     )
+
+
+def _stored_configs(header, path):
+    """The header's network and train configs, each checked as on the command line."""
+    for key, kind in (("network", dict), ("train", dict), ("tensors", list)):
+        if not isinstance(header.get(key), kind):
+            raise CheckpointError(f"{path}: header field {key!r} missing or not a {kind.__name__}")
+    if not isinstance(header.get("meta", {}), dict):
+        raise CheckpointError(f"{path}: header field 'meta' is not a dict")
+    try:
+        return (NetworkConfig(**header["network"]).validate(),
+                TrainConfig(**header["train"]).validate())
+    except (TypeError, ConfigError) as exc:
+        raise CheckpointError(f"{path}: invalid stored configuration: {exc}") from exc
+
+
+def _manifest_entry(entry, path):
+    """(name, shape, offset, nbytes) of one tensor manifest entry."""
+    try:
+        name, shape = str(entry["name"]), tuple(entry["shape"])
+        offset, nbytes = entry["offset"], entry["nbytes"]
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}: malformed tensor manifest entry {entry!r}") from exc
+    if not all(isinstance(n, int) and n >= 0 for n in shape + (offset, nbytes)):
+        raise CheckpointError(
+            f"{path}: tensor {name} has a non-integer or negative shape, offset or size"
+        )
+    return name, shape, offset, nbytes
 
 
 def checkpoint_from_training(net, net_cfg, train_cfg, opt_state=None, meta=None):

@@ -24,7 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError
-from .layers import ENCODING, NetworkConfig, forward, init_network
+from .layers import (
+    N_CLASSES,
+    NetworkConfig,
+    forward,
+    init_network,
+    weighted_spikes,
+)
 from .neuron import BINARY, TERNARY, spike_grad
 from .tensorops import conv1d_same_input_grad, conv1d_same_kernel_grad
 
@@ -129,14 +135,60 @@ def _prob_adjoint(trace, labels, mask, prob_scale):
     return g
 
 
+def _adjoint_scan(trace, li, d_spk, neuron, cfg, grads, mutate):
+    """Run layer li's LIF adjoint backwards through t; returns dL/ddrive.
+
+    d_spk is the (T, B, R, C) adjoint arriving at the layer's raw spikes.
+    It is overwritten step by step with dL/ddrive_t = dL/disc_t and returned;
+    the decay-weight gradients accumulate along the way.
+    """
+    spk, isc, v = trace.spk[li], trace.isc[li], trace.v[li]
+    d_v_next = None
+    d_isc_next = None
+    for t in range(cfg.time_steps - 1, -1, -1):
+        d_s = d_spk[t]
+        if trace.soft and d_v_next is not None:
+            # reset factor (1 - |spk_t|) varies smoothly with v in soft mode
+            d_s = d_s - neuron.w_vd * v[t] * np.sign(spk[t]) * d_v_next
+        g_surr = spike_grad(v[t], cfg.spike_mode, cfg.alpha, neuron.v_thr,
+                            cfg.surrogate_centering)
+        d_v = g_surr * d_s
+        if d_v_next is not None:
+            reset = 1.0 - np.abs(spk[t])
+            if mutate == "drop_reset_factor":
+                reset = np.ones_like(reset)
+            d_v = d_v + neuron.w_vd * reset * d_v_next
+
+        if mutate == "isc_subscript_off_by_one":
+            # the temporal-current recursion seeded from dL/dv_{t+1}
+            d_isc = np.zeros_like(d_v) if d_v_next is None else d_v_next
+        else:
+            d_isc = d_v
+        if d_isc_next is not None:
+            d_isc = d_isc + neuron.w_scd * d_isc_next
+
+        if t > 0:
+            grads[f"{li}.w_scd"] += (isc[t - 1] * d_isc).sum(axis=(0, 1))
+            grads[f"{li}.w_vd"] += (
+                v[t - 1] * (1.0 - np.abs(spk[t - 1])) * d_v
+            ).sum(axis=(0, 1))
+        # drive_t enters isc_t with unit weight
+        d_spk[t] = d_isc
+        d_v_next = d_v
+        d_isc_next = d_isc
+    return d_spk
+
+
 def backward(trace, labels, mask, net, cfg: NetworkConfig, prob_scale=None,
              mutate=None):
     """Gradients of the batch loss for every trainable parameter.
 
-    trace must come from forward() on the same batch and parameters. The
-    `mutate` switch deliberately corrupts one named term so tests can prove
-    the finite-difference check catches a wrong formula; it is never set in
-    production paths.
+    trace must come from forward() on the same batch and parameters. Layers
+    are visited deepest first: an elementwise adjoint scan over t, then one
+    kernel-gradient and one input-gradient convolution over all T*B rows.
+    The `mutate` switch deliberately corrupts one named term so tests can
+    prove the finite-difference check catches a wrong formula; it is never
+    set in production paths.
     """
     if trace.prob_class is None or len(trace.probs_t) != cfg.time_steps:
         raise ConfigError("trace does not match the configured time_steps")
@@ -145,114 +197,63 @@ def backward(trace, labels, mask, net, cfg: NetworkConfig, prob_scale=None,
     if len(trace.spk) != len(spiking):
         raise ConfigError("trace does not match the network depth")
     mode = cfg.spike_mode
-    soft = trace.soft
     t_steps = cfg.time_steps
+    b, r = trace.embeddings.shape[:2]
+    rows = t_steps * b
     mask_col = None if trace.mask is None else trace.mask[:, :, None]
 
     grads = zero_gradients(net)
     g_prob = _prob_adjoint(trace, labels, mask, prob_scale)
 
-    # output decoder: each timestep's softmax feeds prob_class additively
-    last = len(spiking) - 1
-    d_spk_ext = [[None] * t_steps for _ in spiking]
-    w_out = out_layer.kernels
-    for t in range(t_steps):
-        p = trace.probs_t[t]
-        d_logits = p * (g_prob - (g_prob * p).sum(axis=-1, keepdims=True))
-        spk_in = trace.spk[last][t] if mask_col is None else trace.spk[last][t] * mask_col
-        grads[f"{len(net) - 1}.kernels"] += np.tensordot(
-            d_logits, spk_in, axes=([0, 1], [0, 1])
-        )
-        grads[f"{len(net) - 1}.bias"] += d_logits.sum(axis=(0, 1))
-        d_masked = d_logits @ w_out
-        d_spk_ext[last][t] = d_masked if mask_col is None else d_masked * mask_col
+    # output decoder: each timestep's softmax feeds prob_class additively.
+    # It reads masked spikes, so masking d_logits covers both of its products.
+    out = len(net) - 1
+    p = trace.probs_t
+    d_logits = p * (g_prob - (g_prob * p).sum(axis=-1, keepdims=True))
+    if mask_col is not None:
+        d_logits *= mask_col
+    grads[f"{out}.kernels"] += np.tensordot(
+        d_logits, trace.spk[out - 1].block, axes=([0, 1, 2], [0, 1, 2])
+    )
+    grads[f"{out}.bias"] += d_logits.sum(axis=(0, 1, 2))
+    d_spk = (d_logits.reshape(-1, N_CLASSES) @ out_layer.kernels).reshape(t_steps, b, r, -1)
 
-    # spiking layers, deepest first, each unrolled backwards through time
-    for li in range(len(spiking) - 1, -1, -1):
+    # spiking conv layers, deepest first; only the current layer's adjoint is alive
+    for li in range(len(spiking) - 1, 0, -1):
         layer = spiking[li]
         neuron = layer.neuron
-        is_enc = layer.kind == ENCODING
-        r = trace.embeddings.shape[1]
-        k = layer.kernels.shape[2]
-        d_v_next = None
-        d_isc_next = None
+        d_drive = _adjoint_scan(trace, li, d_spk, neuron, cfg, grads, mutate)
+        grads[f"{li}.bias"] += d_drive.sum(axis=(0, 1, 2))
+        spk_in = trace.spk[li - 1].block
+        wspk = weighted_spikes(spk_in, neuron, mode, trace.mask)
+        grads[f"{li}.kernels"] += conv1d_same_kernel_grad(
+            wspk.reshape(rows, r, -1), d_drive.reshape(rows, r, -1),
+            layer.kernels.shape[2], padding=cfg.padding,
+        )
+        del wspk
+        d_wspk = conv1d_same_input_grad(
+            d_drive.reshape(rows, r, -1), layer.kernels, r, padding=cfg.padding
+        ).reshape(spk_in.shape)
+        del d_drive, d_spk  # from here on only the next layer's adjoint is kept
+        if mask_col is not None:
+            d_wspk *= mask_col
+        # wspk = w_fv_pos * spk (binary), w_fv_pos * spk+ + w_fv_neg * spk- (ternary)
+        if mode == BINARY:
+            grads[f"{li}.w_fv_pos"] += (spk_in * d_wspk).sum()
+            d_wspk *= neuron.w_fv_pos
+        else:
+            grads[f"{li}.w_fv_pos"] += (np.maximum(spk_in, 0.0) * d_wspk).sum()
+            grads[f"{li}.w_fv_neg"] += (np.minimum(spk_in, 0.0) * d_wspk).sum()
+            d_wspk *= neuron.w_fv_pos * (spk_in > 0) + neuron.w_fv_neg * (spk_in < 0)
+        d_spk = d_wspk
 
-        for t in range(t_steps - 1, -1, -1):
-            spk_t = trace.spk[li][t]
-            v_t = trace.v[li][t]
-            d_spk = d_spk_ext[li][t]
-            if d_spk is None:
-                d_spk = np.zeros_like(v_t)
-            if soft and d_v_next is not None:
-                # reset factor (1 - |spk_t|) varies smoothly with v in soft mode
-                d_spk = d_spk - neuron.w_vd * v_t * np.sign(spk_t) * d_v_next
-            g_surr = spike_grad(v_t, mode, cfg.alpha, neuron.v_thr,
-                                cfg.surrogate_centering)
-            d_v = g_surr * d_spk
-            if d_v_next is not None:
-                reset = 1.0 - np.abs(spk_t)
-                if mutate == "drop_reset_factor":
-                    reset = np.ones_like(reset)
-                d_v = d_v + neuron.w_vd * reset * d_v_next
-
-            if mutate == "isc_subscript_off_by_one":
-                # the temporal-current recursion seeded from dL/dv_{t+1}
-                d_isc = np.zeros_like(d_v) if d_v_next is None else d_v_next
-            else:
-                d_isc = d_v
-            if d_isc_next is not None:
-                d_isc = d_isc + neuron.w_scd * d_isc_next
-
-            if t > 0:
-                prev_isc = trace.isc[li][t - 1]
-                prev_v = trace.v[li][t - 1]
-                prev_spk = trace.spk[li][t - 1]
-                grads[f"{li}.w_scd"] += (prev_isc * d_isc).sum(axis=(0, 1))
-                grads[f"{li}.w_vd"] += (
-                    prev_v * (1.0 - np.abs(prev_spk)) * d_v
-                ).sum(axis=(0, 1))
-
-            # drive_t enters isc_t with unit weight
-            d_drive = d_isc
-            grads[f"{li}.bias"] += d_drive.sum(axis=(0, 1))
-            if is_enc:
-                x_in = trace.embeddings
-                grads[f"{li}.kernels"] += conv1d_same_kernel_grad(
-                    x_in, d_drive, k, padding=cfg.padding
-                )
-            else:
-                raw_prev = trace.spk[li - 1][t]
-                x_in = raw_prev if mask_col is None else raw_prev * mask_col
-                if mode == BINARY:
-                    wspk = neuron.w_fv_pos * x_in
-                else:
-                    pos = np.maximum(x_in, 0.0)
-                    neg = np.minimum(x_in, 0.0)
-                    wspk = neuron.w_fv_pos * pos + neuron.w_fv_neg * neg
-                grads[f"{li}.kernels"] += conv1d_same_kernel_grad(
-                    wspk, d_drive, k, padding=cfg.padding
-                )
-                d_wspk = conv1d_same_input_grad(
-                    d_drive, layer.kernels, r, padding=cfg.padding
-                )
-                if mode == BINARY:
-                    grads[f"{li}.w_fv_pos"] += (x_in * d_wspk).sum()
-                    d_x = neuron.w_fv_pos * d_wspk
-                else:
-                    grads[f"{li}.w_fv_pos"] += (pos * d_wspk).sum()
-                    grads[f"{li}.w_fv_neg"] += (neg * d_wspk).sum()
-                    d_x = (
-                        neuron.w_fv_pos * (x_in > 0) + neuron.w_fv_neg * (x_in < 0)
-                    ) * d_wspk
-                d_raw = d_x if mask_col is None else d_x * mask_col
-                if d_spk_ext[li - 1][t] is None:
-                    d_spk_ext[li - 1][t] = d_raw
-                else:
-                    d_spk_ext[li - 1][t] = d_spk_ext[li - 1][t] + d_raw
-
-            d_v_next = d_v
-            d_isc_next = d_isc
-
+    # encoder: its drive is the same at every t, so its kernels see sum_t dL/ddrive_t
+    enc = spiking[0]
+    d_drive = _adjoint_scan(trace, 0, d_spk, enc.neuron, cfg, grads, mutate)
+    grads["0.bias"] += d_drive.sum(axis=(0, 1, 2))
+    grads["0.kernels"] += conv1d_same_kernel_grad(
+        trace.embeddings, d_drive.sum(axis=0), enc.kernels.shape[2], padding=cfg.padding
+    )
     return grads
 
 
@@ -365,7 +366,7 @@ def train(train_examples, val_examples, table, net_cfg: NetworkConfig,
 
 def evaluate(examples, table, net, net_cfg, batch_size=8):
     """Span-level micro P/R/F1 of the network's predictions on `examples`."""
-    from .data import batchify
+    from .data import LABELS, batchify
     from .metrics import decode_bio, extract_spans, span_f1
 
     if not examples:
@@ -379,7 +380,7 @@ def evaluate(examples, table, net, net_cfg, batch_size=8):
         pred_rows = decode_bio(prob, batch.mask)
         for i, pred in enumerate(pred_rows):
             n_tok = int(batch.mask[i].sum())
-            gold = [("O", "B", "I")[c] for c in batch.labels[i, :n_tok]]
+            gold = [LABELS[c] for c in batch.labels[i, :n_tok]]
             gold_spans.extend((sent, s, e) for s, e in extract_spans(gold))
             pred_spans.extend((sent, s, e) for s, e in extract_spans(pred))
             sent += 1

@@ -43,23 +43,23 @@ def test_flops_fc_cases():
 def test_firing_rate_silent_and_saturated():
     t = 6
     silent = [np.zeros((1, 2, 3)) for _ in range(t)]
-    assert firing_rate(silent, t) == 0.0
+    assert firing_rate(silent) == 0.0
     full = [np.ones((1, 2, 3)) for _ in range(t)]
-    assert firing_rate(full, t) == 1.0
+    assert firing_rate(full) == 1.0
 
 
 def test_firing_rate_counts_negative_spikes():
     t = 6
     trace = [np.full((1, 1, 1), -1.0) if i < 3 else np.zeros((1, 1, 1))
              for i in range(t)]
-    assert firing_rate(trace, t) == pytest.approx(0.5)
+    assert firing_rate(trace) == pytest.approx(0.5)
 
 
 def test_firing_rate_respects_mask():
     t = 2
     spk = np.asarray([[[1.0], [1.0]]])
     mask = np.asarray([[1.0, 0.0]])
-    assert firing_rate([spk] * t, t, mask) == 1.0
+    assert firing_rate([spk] * t, mask) == 1.0
 
 
 def test_dnn_energy_matches_published_rows():

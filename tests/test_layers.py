@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import ScalarLIF, conv1d_naive
+from oracles import ScalarLIF, conv1d_naive, matvec_naive, softmax_closed_form
 from spiketag.errors import ConfigError, ValidationError
 from spiketag.layers import (
     ENCODING,
+    N_CLASSES,
     OUTPUT,
     SPIKING_CONV,
     LayerParams,
@@ -16,7 +17,7 @@ from spiketag.layers import (
     spiking_conv_step,
     weighted_spikes,
 )
-from spiketag.neuron import NeuronParams, NeuronState
+from spiketag.neuron import NeuronParams
 from spiketag.tensorops import conv1d_same
 
 
@@ -48,10 +49,10 @@ def test_zero_embeddings_zero_bias_never_spike():
     cfg = NetworkConfig(embedding_dim=3, channels=2, kernel=3, n_spiking_conv=1,
                         time_steps=5, spike_mode="ternary")
     layer = make_encoding_layer(2, 3, 3, rng)
-    state = NeuronState.zeros((1, 4, 2), dtype=np.float64)
     emb = np.zeros((1, 4, 3))
-    for _ in range(cfg.time_steps):
-        spk, state = encode_step(emb, layer, state, cfg)
+    states = encode_step(emb, layer, cfg)
+    assert states.spk.shape == (cfg.time_steps, 1, 4, 2)
+    for spk in states.spk:
         assert not spk.any()
 
 
@@ -70,13 +71,12 @@ def test_encoding_reduces_to_scalar_trace():
         neuron=NeuronParams(w_scd=np.asarray([0.3]), w_vd=np.asarray([0.4]), v_thr=0.1),
     )
     oracle = ScalarLIF(0.3, 0.4, 0.1, "binary")
-    state = NeuronState.zeros((1, 1, 1), dtype=np.float64)
     emb = np.full((1, 1, 1), emb_val)
-    for _ in range(cfg.time_steps):
-        spk, state = encode_step(emb, layer, state, cfg)
+    states = encode_step(emb, layer, cfg)
+    for t in range(cfg.time_steps):
         o_spk, o_isc, o_v = oracle.step(kernel * emb_val + 0.05)
-        assert spk[0, 0, 0] == o_spk
-        assert state.v[0, 0, 0] == pytest.approx(o_v, abs=1e-15)
+        assert states.spk[t, 0, 0, 0] == o_spk
+        assert states.v[t, 0, 0, 0] == pytest.approx(o_v, abs=1e-15)
 
 
 def test_first_step_spikes_equal_thresholded_drive():
@@ -86,8 +86,7 @@ def test_first_step_spikes_equal_thresholded_drive():
     layer = make_encoding_layer(3, 4, 3, rng)
     emb = rng.normal(size=(2, 5, 4))
     drive = conv1d_same(emb, layer.kernels, layer.bias, padding=1)
-    state = NeuronState.zeros((2, 5, 3), dtype=np.float64)
-    spk, _ = encode_step(emb, layer, state, cfg)
+    spk = encode_step(emb, layer, cfg).spk[0]
     assert np.array_equal(spk, (drive - 0.1 >= 0).astype(float))
 
 
@@ -104,9 +103,9 @@ def test_spiking_conv_zero_in_zero_out():
             w_fv_pos=np.asarray(1.0), w_fv_neg=np.asarray(1.0), v_thr=0.1,
         ),
     )
-    state = NeuronState.zeros((1, 4, 2), dtype=np.float64)
-    for _ in range(3):
-        spk, state = spiking_conv_step(np.zeros((1, 4, 2)), layer, state, cfg)
+    states = spiking_conv_step(np.zeros((cfg.time_steps, 1, 4, 2)), layer, cfg)
+    assert states.spk.shape == (3, 1, 4, 2)
+    for spk in states.spk:
         assert not spk.any()
 
 
@@ -162,10 +161,9 @@ def test_spike_alphabet_validation():
             w_fv_pos=np.asarray(1.0), w_fv_neg=np.asarray(1.0), v_thr=0.1,
         ),
     )
-    state = NeuronState.zeros((1, 3, 2), dtype=np.float64)
-    bad = np.full((1, 3, 2), 0.5)
+    bad = np.full((cfg.time_steps, 1, 3, 2), 0.5)
     with pytest.raises(ValidationError):
-        spiking_conv_step(bad, layer, state, cfg, checked=True)
+        spiking_conv_step(bad, layer, cfg, checked=True)
 
 
 def test_output_logits_cases():
@@ -299,3 +297,73 @@ def test_init_network_structure_and_defaults():
     assert float(net[1].neuron.w_fv_pos) == 1.0
     assert float(net[1].neuron.w_fv_neg) == 1.0
     assert net[0].neuron.w_fv_pos is None
+
+
+def reference_forward(emb, net, cfg, mask):
+    """Timestep-major forward built only from the test oracles.
+
+    Each timestep runs every layer with conv1d_naive, one ScalarLIF per
+    neuron and softmax_closed_form per token; returns per-layer (T, B, R, C)
+    spikes, currents and potentials, and the summed class scores.
+    """
+    emb = emb * mask[:, :, None]
+    b, r, _ = emb.shape
+    spiking = net[:-1]
+    out_layer = net[-1]
+    lifs = [
+        [[[ScalarLIF(float(layer.neuron.w_scd[c]), float(layer.neuron.w_vd[c]),
+                     layer.neuron.v_thr, cfg.spike_mode)
+           for c in range(layer.kernels.shape[0])] for _ in range(r)] for _ in range(b)]
+        for layer in spiking
+    ]
+    shape = (cfg.time_steps, b, r, cfg.channels)
+    spk, isc, v = ([np.zeros(shape) for _ in spiking] for _ in range(3))
+    prob = np.zeros((b, r, N_CLASSES))
+    for t in range(cfg.time_steps):
+        x = emb
+        for li, layer in enumerate(spiking):
+            if layer.kind == SPIKING_CONV:
+                n = layer.neuron
+                w_neg = n.w_fv_pos if cfg.spike_mode == "binary" else n.w_fv_neg
+                x = np.where(x > 0, float(n.w_fv_pos) * x, float(w_neg) * x)
+            drive = conv1d_naive(x, layer.kernels, layer.bias, cfg.padding)
+            for i in range(b):
+                for j in range(r):
+                    for c in range(cfg.channels):
+                        out = lifs[li][i][j][c].step(drive[i, j, c])
+                        spk[li][t, i, j, c], isc[li][t, i, j, c], v[li][t, i, j, c] = out
+            x = spk[li][t] * mask[:, :, None]
+        for i in range(b):
+            for j in range(r):
+                logits = matvec_naive(out_layer.kernels.tolist(), x[i, j].tolist(),
+                                      out_layer.bias.tolist())
+                prob[i, j] += softmax_closed_form(logits)
+    return spk, isc, v, prob
+
+
+def test_forward_matches_timestep_major_oracle():
+    for mode in ("binary", "ternary"):
+        cfg = NetworkConfig(embedding_dim=3, channels=3, kernel=3, n_spiking_conv=2,
+                            time_steps=4, spike_mode=mode)
+        rng = np.random.default_rng(21)
+        net = full_net(cfg, seed=5)
+        for layer in net[:-1]:
+            layer.bias[...] = rng.normal(scale=0.2, size=layer.bias.shape)
+            layer.neuron.w_scd[...] = rng.uniform(-0.5, 0.9, size=cfg.channels)
+            layer.neuron.w_vd[...] = rng.uniform(-0.5, 0.9, size=cfg.channels)
+        for layer in net[1:-1]:
+            layer.neuron.w_fv_pos[...] = 0.8
+            layer.neuron.w_fv_neg[...] = 1.3
+        emb = rng.normal(size=(2, 5, 3))
+        mask = np.ones((2, 5))
+        mask[1, 3:] = 0.0
+        prob, trace = forward(emb, net, cfg, mask=mask)
+        spk, isc, v, ref_prob = reference_forward(emb, net, cfg, mask)
+        for li in range(len(net) - 1):
+            assert np.array_equal(trace.spk[li].block, spk[li]), (mode, li)
+            assert np.allclose(trace.isc[li].block, isc[li], rtol=0, atol=1e-12), (mode, li)
+            assert np.allclose(trace.v[li].block, v[li], rtol=0, atol=1e-12), (mode, li)
+            assert np.any(spk[li] != 0) and np.any(spk[li] == 0), (mode, li)
+        assert np.allclose(prob, ref_prob, rtol=0, atol=1e-12), mode
+        if mode == "ternary":
+            assert any(np.any(s < 0) for s in spk)

@@ -1,6 +1,10 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
+from spiketag.cli import main
 from spiketag.data import split_validation
 from spiketag.errors import CheckpointError
 from spiketag.layers import NetworkConfig, init_network
@@ -13,6 +17,8 @@ from spiketag.persistence import (
     save,
 )
 from spiketag.training import OptimizerState, TrainConfig, named_parameters, train
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def make_checkpoint(seed=0):
@@ -122,3 +128,41 @@ def test_resume_reproduces_uninterrupted_run(tmp_path, toy_corpus, toy_table):
     assert [r[1] for r in resumed.log_rows] == [r[1] for r in full.log_rows[2:]]
     for name, p in named_parameters(full.params).items():
         assert np.array_equal(p, named_parameters(resumed.params)[name])
+
+
+def saved_with_header_edit(tmp_path, edit):
+    """Save a checkpoint, then rewrite its JSON header with edit(header)."""
+    ckpt, _ = make_checkpoint()
+    path = tmp_path / "edited.ckpt"
+    save(ckpt, str(path))
+    blob = path.read_bytes()
+    n = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16 : 16 + n])
+    edit(header)
+    new = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:8] + len(new).to_bytes(8, "little") + new + blob[16 + n :])
+    return str(path)
+
+
+def assert_data_error(path, match, capsys):
+    with pytest.raises(CheckpointError, match=match):
+        load(path)
+    code = main(["eval", "--data", os.path.join(FIXTURES, "toy40.tsv"),
+                 "--embeddings", os.path.join(FIXTURES, "toy_embeddings.txt"),
+                 "--ckpt", path])
+    assert code == 2, capsys.readouterr().err
+
+
+def test_header_without_tensor_manifest_rejected(tmp_path, capsys):
+    path = saved_with_header_edit(tmp_path, lambda h: h.pop("tensors"))
+    assert_data_error(path, "tensors", capsys)
+
+
+def test_unknown_network_key_rejected(tmp_path, capsys):
+    path = saved_with_header_edit(tmp_path, lambda h: h["network"].update(depth=9))
+    assert_data_error(path, "depth", capsys)
+
+
+def test_invalid_stored_network_config_rejected(tmp_path, capsys):
+    path = saved_with_header_edit(tmp_path, lambda h: h["network"].update(time_steps=0))
+    assert_data_error(path, "time_steps", capsys)

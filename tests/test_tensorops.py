@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from oracles import conv1d_naive, matvec_naive, softmax_closed_form
 from spiketag.errors import ConfigError, DimensionError
+from spiketag.layers import OUTPUT, LayerParams, output_logits, softmax3
 from spiketag.tensorops import (
-    affine,
     conv1d_same,
     conv1d_same_input_grad,
     conv1d_same_kernel_grad,
-    softmax,
 )
 
 
@@ -111,34 +113,85 @@ def test_conv_adjoints_match_finite_differences():
             assert abs((up - down) / (2 * h) - g[idx]) < 1e-6
 
 
+@st.composite
+def conv_cases(draw):
+    """Random conv geometry; b reaches the T*B rows the layers flatten."""
+    k = draw(st.integers(1, 5))
+    padding = draw(st.integers(0, k - 1))
+    r = draw(st.integers(max(1, k - 2 * padding), 12))
+    b = draw(st.integers(1, 64))
+    cin = draw(st.integers(1, 6))
+    cout = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(b, r, cin))
+    kernels = rng.normal(size=(cout, cin, k))
+    y = rng.normal(size=(b, r + 2 * padding - k + 1, cout))
+    return x, kernels, y, padding
+
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@PROPERTY_SETTINGS
+@given(conv_cases())
+def test_conv_input_grad_is_the_adjoint(case):
+    # <conv(x), y> = <x, conv^T(y)> for the input adjoint
+    x, kernels, y, padding = case
+    zero = np.zeros(kernels.shape[0])
+    lhs = float((conv1d_same(x, kernels, zero, padding=padding) * y).sum())
+    d_x = conv1d_same_input_grad(y, kernels, x.shape[1], padding=padding)
+    assert d_x.shape == x.shape
+    assert lhs == pytest.approx(float((x * d_x).sum()), rel=1e-9, abs=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(conv_cases())
+def test_conv_kernel_grad_is_the_adjoint(case):
+    # <conv(x; W), y> = <W, conv_W^T(x, y)> for the kernel adjoint
+    x, kernels, y, padding = case
+    zero = np.zeros(kernels.shape[0])
+    lhs = float((conv1d_same(x, kernels, zero, padding=padding) * y).sum())
+    d_k = conv1d_same_kernel_grad(x, y, kernels.shape[2], padding=padding)
+    assert d_k.shape == kernels.shape
+    assert lhs == pytest.approx(float((kernels * d_k).sum()), rel=1e-9, abs=1e-9)
+
+
+def decoder(weight, bias):
+    return LayerParams(kind=OUTPUT, kernels=np.asarray(weight, dtype=float),
+                       bias=np.asarray(bias, dtype=float))
+
+
 def test_affine_identity_and_hand_case():
-    assert np.allclose(affine(np.asarray([3.0, -1.0]), np.eye(2), np.zeros(2)), [3, -1])
-    out = affine(np.asarray([2.0, 3.0]), np.asarray([[1.0, 1.0], [0.0, 2.0]]),
-                 np.asarray([1.0, -1.0]))
+    # the affine decoder is layers.output_logits
+    out = output_logits(np.asarray([3.0, -1.0]), decoder(np.eye(2), np.zeros(2)))
+    assert np.allclose(out, [3, -1])
+    out = output_logits(np.asarray([2.0, 3.0]),
+                        decoder([[1.0, 1.0], [0.0, 2.0]], [1.0, -1.0]))
     assert np.allclose(out, [6.0, 5.0])
     assert np.allclose(out, matvec_naive([[1, 1], [0, 2]], [2, 3], [1, -1]))
 
 
 def test_affine_zero_input_gives_bias():
     bias = np.asarray([0.3, -0.7, 0.1])
-    out = affine(np.zeros(4), np.ones((3, 4)), bias)
+    out = output_logits(np.zeros(4), decoder(np.ones((3, 4)), bias))
     assert np.allclose(out, bias)
 
 
 def test_affine_shape_error():
     with pytest.raises(DimensionError):
-        affine(np.zeros(3), np.zeros((2, 4)), np.zeros(2))
+        output_logits(np.zeros(3), decoder(np.zeros((2, 4)), np.zeros(2)))
 
 
 def test_softmax_symmetry_and_shift_invariance():
-    assert np.allclose(softmax(np.zeros(3)), [1 / 3] * 3)
-    out = softmax(np.asarray([1000.0, 1000.0]))
+    # the softmax is layers.softmax3, applied along the last axis
+    assert np.allclose(softmax3(np.zeros(3)), [1 / 3] * 3)
+    out = softmax3(np.asarray([1000.0, 1000.0]))
     assert np.all(np.isfinite(out))
     assert np.allclose(out, [0.5, 0.5])
 
 
 def test_softmax_closed_form():
-    out = softmax(np.asarray([0.0, math.log(3.0)]))
+    out = softmax3(np.asarray([0.0, math.log(3.0)]))
     assert np.allclose(out, [0.25, 0.75], atol=1e-12)
     assert np.allclose(out, softmax_closed_form([0.0, math.log(3.0)]))
 
@@ -147,4 +200,4 @@ def test_softmax_sums_to_one_on_random_inputs():
     rng = np.random.default_rng(9)
     for _ in range(50):
         logits = rng.normal(scale=rng.uniform(0.1, 50), size=rng.integers(2, 9))
-        assert abs(softmax(logits).sum() - 1.0) < 1e-12
+        assert abs(softmax3(logits).sum() - 1.0) < 1e-12
