@@ -127,7 +127,7 @@ def cmd_train(args):
     meta = {"epoch": result.best_epoch, "val_f1": result.best_f1, "seed": cfg.seed}
     save(
         checkpoint_from_training(result.best_params, net_cfg, train_cfg,
-                                 result.opt_state, meta),
+                                 result.best_opt_state, meta),
         ckpt_path,
     )
     print(f"checkpoint written to {ckpt_path} (best epoch {result.best_epoch}, "
@@ -177,11 +177,11 @@ def cmd_predict(args):
     from .data import Example
 
     examples = [Example(tokens=toks, labels=["O"] * len(toks)) for toks in sentences]
-    batches = batchify(examples, table, cfg.batch_size, rng=None)
-    outputs = []
-    for batch in batches:
-        prob, _ = forward(batch.embeddings, net, net_cfg, mask=batch.mask)
-        outputs.extend(decode_bio(prob, batch.mask))
+    outputs = [None] * len(examples)
+    for batch in batchify(examples, table, cfg.batch_size):
+        prob = forward(batch.embeddings, net, net_cfg, mask=batch.mask)[0]
+        for i, labels in zip(batch.index.tolist(), decode_bio(prob, batch.mask)):
+            outputs[i] = labels
     for toks, labels in zip(sentences, outputs):
         for tok, lab in zip(toks, labels):
             print(f"{tok}\t{lab}")

@@ -45,6 +45,7 @@ class Batch:
     embeddings: np.ndarray  # (B, R_max, E) float32, zero rows at padding
     labels: np.ndarray      # (B, R_max) int64, 0 at padding
     mask: np.ndarray        # (B, R_max) float32, 1 on real tokens
+    index: np.ndarray       # (B,) int64, position in `examples` of each row
 
 
 def load_corpus(path, mode="strict"):
@@ -167,18 +168,24 @@ def embed_example(ex, table):
 def batchify(examples, table, batch_size, rng=None):
     """Group examples into padded batches; each batch pads to its own max length.
 
-    Pass a generator to shuffle first (deterministic for a given seed);
-    rng=None keeps file order. Padded positions get zero embeddings, label 0,
-    and mask 0.
+    Pass a generator to shuffle first (training; deterministic for a given
+    seed). rng=None is the inference order: examples are stably sorted by
+    token count, so each batch holds sentences of similar length and pads
+    little. Either way `batch.index` gives the position in `examples` of each
+    row, which is how callers put results back in input order. Padded
+    positions get zero embeddings, label 0, and mask 0.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    order = list(range(len(examples)))
-    if rng is not None:
+    if rng is None:
+        order = sorted(range(len(examples)), key=lambda i: len(examples[i].tokens))
+    else:
+        order = list(range(len(examples)))
         rng.shuffle(order)
     batches = []
     for start in range(0, len(order), batch_size):
-        chunk = [examples[i] for i in order[start : start + batch_size]]
+        index = np.asarray(order[start : start + batch_size], dtype=np.int64)
+        chunk = [examples[i] for i in index]
         r_max = max(len(ex.tokens) for ex in chunk)
         b = len(chunk)
         emb = np.zeros((b, r_max, table.dim), dtype=np.float32)
@@ -189,7 +196,7 @@ def batchify(examples, table, batch_size, rng=None):
             emb[i, :n] = embed_example(ex, table)
             labels[i, :n] = [LABEL_TO_ID[lab] for lab in ex.labels]
             mask[i, :n] = 1.0
-        batches.append(Batch(embeddings=emb, labels=labels, mask=mask))
+        batches.append(Batch(embeddings=emb, labels=labels, mask=mask, index=index))
     return batches
 
 

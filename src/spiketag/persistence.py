@@ -13,8 +13,11 @@ offsets relative to the start of the payload region. Optimizer moments are
 stored as ordinary tensors so a resumed run is bit-deterministic.
 """
 
+import contextlib
 import dataclasses
 import json
+import os
+import secrets
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +41,12 @@ class Checkpoint:
 
 
 def save(checkpoint: Checkpoint, path):
-    """Write the container; tensors are cast to float32 little-endian."""
+    """Write the container atomically; tensors are cast to float32 little-endian.
+
+    The bytes go to a new temporary file next to `path`, which is synced to
+    disk and then renamed over `path`. A failed write raises CheckpointError,
+    removes the temporary file and leaves any previous checkpoint untouched.
+    """
     manifest = []
     payload = bytearray()
     for name, arr in checkpoint.tensors.items():
@@ -60,13 +68,23 @@ def save(checkpoint: Checkpoint, path):
         "tensors": manifest,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
     try:
-        with open(path, "wb") as fh:
+        fh = open(tmp, "xb")  # "x": never reuse a file this call did not create
+    except OSError as exc:
+        raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
+    try:
+        with fh:
             fh.write(MAGIC)
             fh.write(len(header_bytes).to_bytes(8, "little"))
             fh.write(header_bytes)
-            fh.write(bytes(payload))
+            fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
 
 

@@ -16,6 +16,12 @@ constants in hard-spike mode (their derivative is zero almost everywhere);
 in soft-spike mode the reset factor varies smoothly with v, so the backward
 pass adds the corresponding chain term to stay the exact adjoint of the
 soft forward that the finite-difference check differentiates.
+
+The postsynaptic weighting passes dL/dspk = w_fv_pos * dL/dwspk in binary
+mode, silent (0) inputs included. In ternary mode the factor is w_fv_pos
+at +1, w_fv_neg at -1 and 0 at a silent input, so a neuron whose ternary
+spike is 0 receives no gradient through its consumer. The soft-spike
+gradient check cannot see this: soft spikes are never exactly 0.
 """
 
 import copy
@@ -302,6 +308,7 @@ class TrainResult:
     params: list
     best_params: list
     opt_state: OptimizerState
+    best_opt_state: OptimizerState | None  # goes with best_params; None until a best epoch
     best_epoch: int
     best_f1: float
     log_rows: list = field(default_factory=list)
@@ -319,7 +326,8 @@ def train(train_examples, val_examples, table, net_cfg: NetworkConfig,
     Each epoch reshuffles with a generator derived from (seed, epoch), so a
     run resumed from a checkpoint at start_epoch replays the identical batch
     sequence an uninterrupted run would have seen. Returns the final and the
-    best-validation-F1 parameters plus one log row per epoch.
+    best-validation-F1 parameters, the optimizer state at each, and one log
+    row per epoch.
     """
     from .data import batchify
 
@@ -335,7 +343,7 @@ def train(train_examples, val_examples, table, net_cfg: NetworkConfig,
 
     result = TrainResult(
         params=net, best_params=copy.deepcopy(net), opt_state=opt_state,
-        best_epoch=-1, best_f1=-1.0,
+        best_opt_state=None, best_epoch=-1, best_f1=-1.0,
     )
     for epoch in range(start_epoch, cfg.epochs):
         shuffle_rng = np.random.default_rng([cfg.seed, 2, epoch])
@@ -361,29 +369,29 @@ def train(train_examples, val_examples, table, net_cfg: NetworkConfig,
             result.best_f1 = f1
             result.best_epoch = epoch
             result.best_params = copy.deepcopy(net)
+            result.best_opt_state = copy.deepcopy(opt_state)
     return result
 
 
 def evaluate(examples, table, net, net_cfg, batch_size=8):
-    """Span-level micro P/R/F1 of the network's predictions on `examples`."""
-    from .data import LABELS, batchify
+    """Span-level micro P/R/F1 of the network's predictions on `examples`.
+
+    Batches come in batchify's length order; spans are keyed by each row's
+    position in `examples`. Each forward's trace is dropped as soon as the
+    call returns, so it is not alive while the next batch runs.
+    """
+    from .data import batchify
     from .metrics import decode_bio, extract_spans, span_f1
 
     if not examples:
         return 1.0, 1.0, 1.0, 0, 0, 0
-    batches = batchify(examples, table, batch_size, rng=None)
     gold_spans = []
     pred_spans = []
-    sent = 0
-    for batch in batches:
-        prob, _ = forward(batch.embeddings, net, net_cfg, mask=batch.mask)
-        pred_rows = decode_bio(prob, batch.mask)
-        for i, pred in enumerate(pred_rows):
-            n_tok = int(batch.mask[i].sum())
-            gold = [LABELS[c] for c in batch.labels[i, :n_tok]]
-            gold_spans.extend((sent, s, e) for s, e in extract_spans(gold))
+    for batch in batchify(examples, table, batch_size):
+        prob = forward(batch.embeddings, net, net_cfg, mask=batch.mask)[0]
+        for sent, pred in zip(batch.index.tolist(), decode_bio(prob, batch.mask)):
+            gold_spans.extend((sent, s, e) for s, e in extract_spans(examples[sent].labels))
             pred_spans.extend((sent, s, e) for s, e in extract_spans(pred))
-            sent += 1
     return span_f1(gold_spans, pred_spans)
 
 

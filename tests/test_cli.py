@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -180,3 +181,72 @@ def test_subcommand_output_is_deterministic(capsys, tmp_path):
     assert code1 == code2 == 0
     assert out1 == out2
     assert (tmp_path / "first.ckpt").read_bytes() == (tmp_path / "model.ckpt").read_bytes()
+
+
+def predicted_blocks(out):
+    """token<TAB>label lines of a predict run, one list per sentence."""
+    return [[line for line in block.splitlines() if "\t" in line]
+            for block in out.split("\n\n") if "\t" in block]
+
+
+def test_predict_batches_by_length_and_answers_in_input_order(capsys, tmp_path,
+                                                             monkeypatch):
+    cfg_path = small_config(tmp_path, epochs=1, batch_size=2)
+    code, _, err = run(capsys, "train", "--config", cfg_path)
+    assert code == 0, err
+    ckpt_path = str(tmp_path / "model.ckpt")
+    sentences = [
+        "we loved the crispy garlic bread and the thai soup again today".split(),
+        "so !".split(),
+        "it had a really wireless retina screen .".split(),
+        "i liked pizza".split(),
+    ]
+    raw = tmp_path / "raw.txt"
+    raw.write_text("\n\n".join("\n".join(toks) for toks in sentences) + "\n")
+
+    from spiketag import cli
+
+    widths = []
+    real_forward = cli.forward
+
+    def spy(emb, *args, **kwargs):
+        widths.append(emb.shape[:2])
+        return real_forward(emb, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "forward", spy)
+    code, out, _ = run(capsys, "predict", "--config", cfg_path, "--ckpt", ckpt_path, str(raw))
+    assert code == 0
+    assert widths == [(2, 3), (2, 12)]  # lengths 2 and 3, then 8 and 12
+
+    alone = []
+    for i, toks in enumerate(sentences):
+        one = tmp_path / f"one{i}.txt"
+        one.write_text("\n".join(toks) + "\n")
+        code, out_one, _ = run(capsys, "predict", "--config", cfg_path,
+                               "--ckpt", ckpt_path, str(one))
+        assert code == 0
+        alone.extend(predicted_blocks(out_one))
+    blocks = predicted_blocks(out)
+    assert [[line.split("\t")[0] for line in b] for b in blocks] == sentences
+    assert blocks == alone
+
+
+def test_checkpoint_optimizer_state_is_the_best_epochs(capsys, tmp_path):
+    # at learning rate 0 validation F1 is flat, so epoch 0 stays the best
+    cfg_path = small_config(tmp_path, epochs=3)
+    code, _, err = run(capsys, "train", "--config", cfg_path, "--lr", "0")
+    assert code == 0, err
+    ckpt = load(str(tmp_path / "model.ckpt"))
+    assert ckpt.meta["epoch"] == 0
+
+    from spiketag.data import load_corpus, load_embeddings, split_validation
+    from spiketag.training import train
+
+    train_set, val_set = split_validation(load_corpus(TOY_CORPUS), 8, ckpt.meta["seed"])
+    one_epoch = train(train_set, val_set, load_embeddings(TOY_EMB), ckpt.net_cfg,
+                      dataclasses.replace(ckpt.train_cfg, epochs=1))
+    batches_per_epoch = -(-len(train_set) // ckpt.train_cfg.batch_size)
+    assert ckpt.meta["optimizer_step"] == one_epoch.opt_state.step == batches_per_epoch
+    for name, m in one_epoch.opt_state.m.items():
+        assert np.array_equal(ckpt.tensors[f"adam_m.{name}"], m)
+        assert np.array_equal(ckpt.tensors[f"adam_v.{name}"], one_epoch.opt_state.v[name])

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from spiketag.data import (
+    LABEL_TO_ID,
     Example,
     batchify,
+    embed_example,
     load_corpus,
     load_embeddings,
     split_validation,
@@ -162,6 +164,32 @@ def test_batchify_deterministic_given_seed(toy_corpus, toy_table):
     for x, y in zip(b1, b2):
         assert np.array_equal(x.embeddings, y.embeddings)
         assert np.array_equal(x.labels, y.labels)
+
+
+def test_batchify_inference_order_sorts_by_length_and_indexes_rows(toy_corpus, toy_table):
+    examples = toy_corpus[:37]
+    assert len({len(ex.tokens) for ex in examples}) > 1
+    batches = batchify(examples, toy_table, 4)
+    index = np.concatenate([b.index for b in batches]).tolist()
+    assert sorted(index) == list(range(len(examples)))
+    keys = [(len(examples[i].tokens), i) for i in index]
+    assert keys == sorted(keys)  # by length, ties in input order
+    widths = [b.mask.shape[1] for b in batches]
+    assert widths == sorted(widths)
+    for b in batches:
+        for row, i in enumerate(b.index):
+            ex = examples[i]
+            n = len(ex.tokens)
+            assert b.mask[row].sum() == n
+            assert np.array_equal(b.embeddings[row, :n], embed_example(ex, toy_table))
+            assert b.labels[row, :n].tolist() == [LABEL_TO_ID[lab] for lab in ex.labels]
+
+
+def test_batchify_training_order_is_the_seeded_shuffle(toy_corpus, toy_table):
+    order = list(range(20))
+    np.random.default_rng(123).shuffle(order)
+    batches = batchify(toy_corpus[:20], toy_table, 4, np.random.default_rng(123))
+    assert np.concatenate([b.index for b in batches]).tolist() == order
 
 
 def test_split_validation_sizes_and_disjoint():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import ScalarLIF
 from spiketag.errors import DimensionError
@@ -184,3 +186,37 @@ def test_atan_sigmoid_spans_unit_interval():
     assert atan_sigmoid(0.0, 2.0) == pytest.approx(0.5)
     assert atan_sigmoid(1e9, 2.0) == pytest.approx(1.0, abs=1e-6)
     assert atan_sigmoid(-1e9, 2.0) == pytest.approx(0.0, abs=1e-6)
+
+
+@st.composite
+def lif_runs(draw):
+    """A random layer shape, per-channel decays, threshold and drive sequence."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    channels = shape[-1]
+    decay = st.floats(-1.0, 1.0, allow_nan=False)
+    w_scd = draw(st.lists(decay, min_size=channels, max_size=channels))
+    w_vd = draw(st.lists(decay, min_size=channels, max_size=channels))
+    v_thr = draw(st.floats(0.01, 1.0))
+    steps = draw(st.integers(1, 6))
+    size = steps * int(np.prod(shape))
+    drives = draw(st.lists(st.floats(-2.0, 2.0), min_size=size, max_size=size))
+    mode = draw(st.sampled_from(["binary", "ternary"]))
+    return shape, w_scd, w_vd, v_thr, np.reshape(drives, (steps,) + shape), mode
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(lif_runs())
+def test_lif_step_matches_scalar_oracle(run):
+    shape, w_scd, w_vd, v_thr, drives, mode = run
+    params = NeuronParams(w_scd=np.asarray(w_scd), w_vd=np.asarray(w_vd), v_thr=v_thr)
+    cells = list(np.ndindex(shape))
+    neurons = [ScalarLIF(w_scd[c[-1]], w_vd[c[-1]], v_thr, mode) for c in cells]
+    state = NeuronState.zeros(shape, dtype=np.float64)
+    for drive in drives:
+        spk, state = lif_step(state, drive, params, mode)
+        expected = np.empty((3,) + shape)
+        for cell, neuron in zip(cells, neurons):
+            expected[(slice(None),) + cell] = neuron.step(float(drive[cell]))
+        assert np.array_equal(spk, expected[0])
+        assert np.array_equal(state.isc, expected[1])
+        assert np.array_equal(state.v, expected[2])

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 
@@ -8,6 +9,7 @@ from spiketag.cli import main
 from spiketag.data import split_validation
 from spiketag.errors import CheckpointError
 from spiketag.layers import NetworkConfig, init_network
+from spiketag import persistence
 from spiketag.persistence import (
     MAGIC,
     Checkpoint,
@@ -166,3 +168,50 @@ def test_unknown_network_key_rejected(tmp_path, capsys):
 def test_invalid_stored_network_config_rejected(tmp_path, capsys):
     path = saved_with_header_edit(tmp_path, lambda h: h["network"].update(time_steps=0))
     assert_data_error(path, "time_steps", capsys)
+
+
+class DiskFullAfter:
+    """A binary file whose writes stop with ENOSPC once `room` bytes are in."""
+
+    def __init__(self, fh, room):
+        self.fh = fh
+        self.room = room
+
+    def write(self, data):
+        n = min(len(data), self.room)
+        self.fh.write(data[:n])
+        self.room -= n
+        if n < len(data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def save_on_full_disk(monkeypatch, checkpoint, path):
+    with monkeypatch.context() as patch:
+        patch.setattr(persistence, "open",
+                      lambda file, mode: DiskFullAfter(open(file, mode), 100),
+                      raising=False)
+        with pytest.raises(CheckpointError, match="model.ckpt"):
+            save(checkpoint, path)
+
+
+def test_failed_save_leaves_previous_checkpoint_and_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_on_full_disk(monkeypatch, make_checkpoint(seed=0)[0], str(path))
+    assert os.listdir(tmp_path) == []
+
+    save(make_checkpoint(seed=0)[0], str(path))
+    before = path.read_bytes()
+    save_on_full_disk(monkeypatch, make_checkpoint(seed=1)[0], str(path))
+    assert os.listdir(tmp_path) == ["model.ckpt"]
+    assert path.read_bytes() == before
+    save(make_checkpoint(seed=1)[0], str(path))
+    assert path.read_bytes() != before

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from spiketag.training import (
     TrainConfig,
     backward,
     cross_entropy,
+    evaluate,
     grad_check,
     named_parameters,
     optimizer_step,
@@ -294,6 +296,29 @@ def test_training_is_seed_deterministic(toy_corpus, toy_table):
     rows1 = train(train_set, val_set, table, net_cfg, tcfg).log_rows
     rows2 = train(train_set, val_set, table, net_cfg, tcfg).log_rows
     assert rows1 == rows2
+
+
+def test_evaluate_drops_each_trace_before_the_next_forward(monkeypatch, toy_corpus,
+                                                           toy_table):
+    from spiketag import training
+
+    net_cfg = NetworkConfig(embedding_dim=16, channels=4, n_spiking_conv=1,
+                            time_steps=3)
+    net = init_network(net_cfg, np.random.default_rng(0), dtype=np.float32)
+    examples = toy_corpus[:20]
+    alone = evaluate(examples, toy_table, net, net_cfg, batch_size=1)
+    traces = []
+    real_forward = training.forward
+
+    def spy(*args, **kwargs):
+        assert all(ref() is None for ref in traces), "the previous trace is still alive"
+        result = real_forward(*args, **kwargs)
+        traces.append(weakref.ref(result[1]))
+        return result
+
+    monkeypatch.setattr(training, "forward", spy)
+    assert evaluate(examples, toy_table, net, net_cfg, batch_size=4) == alone
+    assert len(traces) == 5
 
 
 def test_grad_check_all_modes_and_centerings():
