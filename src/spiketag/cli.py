@@ -10,9 +10,14 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
-from .data import batchify, load_corpus, load_embeddings, split_validation
+from .data import (
+    Example,
+    batchify,
+    load_corpus,
+    load_embeddings,
+    split_validation,
+    utf8_lines,
+)
 from .energy import dnn_energy, profile_network
 from .errors import (
     CheckpointError,
@@ -25,7 +30,7 @@ from .layers import forward
 from .metrics import decode_bio, format_report
 from .neuron import CENTERINGS, SPIKE_MODES
 from .persistence import checkpoint_from_training, load, restore_network, save
-from .runconfig import RunConfig, apply_overrides, load_config_file
+from .runconfig import KEYS, RunConfig, apply_overrides, load_config_file
 from .training import evaluate, grad_check, tiny_gradcheck_config, train
 
 EXIT_OK = 0
@@ -79,12 +84,7 @@ def build_parser():
 
 def effective_config(args):
     cfg = load_config_file(args.config) if args.config else RunConfig()
-    overrides = {
-        key: getattr(args, key, None)
-        for key in ("data", "embeddings", "ckpt", "out", "seed", "lr",
-                    "epochs", "spike_mode", "time_steps")
-    }
-    apply_overrides(cfg, overrides)
+    apply_overrides(cfg, {k: v for k, v in vars(args).items() if k in KEYS})
     print(cfg.echo())
     return cfg
 
@@ -100,20 +100,21 @@ def require_path(path, what):
 def load_dataset(cfg):
     corpus = load_corpus(require_path(cfg.data, "corpus"), mode=cfg.corpus_mode)
     table = load_embeddings(require_path(cfg.embeddings, "embeddings"))
-    if cfg.embedding_dim and cfg.embedding_dim != table.dim:
+    net_cfg = cfg.network
+    if net_cfg.embedding_dim and net_cfg.embedding_dim != table.dim:
         raise ConfigError(
-            f"configured embedding_dim {cfg.embedding_dim} != table dim {table.dim}"
+            f"configured embedding_dim {net_cfg.embedding_dim} != table dim {table.dim}"
         )
-    cfg.embedding_dim = table.dim
+    net_cfg.embedding_dim = table.dim
     return corpus, table
 
 
 def cmd_train(args):
     cfg = effective_config(args)
     corpus, table = load_dataset(cfg)
-    train_set, val_set = split_validation(corpus, cfg.val_size, cfg.seed)
-    net_cfg = cfg.network_config()
-    train_cfg = cfg.train_config()
+    train_set, val_set = split_validation(corpus, cfg.val_size, cfg.train.seed)
+    net_cfg = cfg.network.validate()
+    train_cfg = cfg.train.validate()
     out_dir = cfg.out or "."
     os.makedirs(out_dir, exist_ok=True)
     log_path = os.path.join(out_dir, "train.log")
@@ -124,7 +125,8 @@ def cmd_train(args):
 
         result = train(train_set, val_set, table, net_cfg, train_cfg, log_fn=log_fn)
     ckpt_path = cfg.ckpt or os.path.join(out_dir, "model.ckpt")
-    meta = {"epoch": result.best_epoch, "val_f1": result.best_f1, "seed": cfg.seed}
+    meta = {"epoch": result.best_epoch, "val_f1": result.best_f1,
+            "seed": train_cfg.seed}
     save(
         checkpoint_from_training(result.best_params, net_cfg, train_cfg,
                                  result.best_opt_state, meta),
@@ -135,8 +137,14 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def load_model(cfg):
+def load_model(cfg, table):
+    """The checkpoint's network and its config; the table must match its input width."""
     ckpt = load(require_path(cfg.ckpt, "checkpoint"))
+    if table.dim != ckpt.net_cfg.embedding_dim:
+        raise ParseError(
+            f"embedding table dim {table.dim} != checkpoint embedding_dim "
+            f"{ckpt.net_cfg.embedding_dim}", path=cfg.embeddings,
+        )
     net, _ = restore_network(ckpt)
     return net, ckpt.net_cfg
 
@@ -144,9 +152,9 @@ def load_model(cfg):
 def cmd_eval(args):
     cfg = effective_config(args)
     corpus, table = load_dataset(cfg)
-    net, net_cfg = load_model(cfg)
+    net, net_cfg = load_model(cfg, table)
     precision, recall, f1, tp, fp, fn = evaluate(corpus, table, net, net_cfg,
-                                                 cfg.batch_size)
+                                                 cfg.train.batch_size)
     print(format_report(precision, recall, f1, tp, fp, fn))
     return EXIT_OK
 
@@ -154,15 +162,14 @@ def cmd_eval(args):
 def read_sentences(path):
     sentences = []
     current = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            tok = line.strip()
-            if not tok:
-                if current:
-                    sentences.append(current)
-                    current = []
-                continue
-            current.append(tok)
+    for line in utf8_lines(path):
+        tok = line.strip()
+        if not tok:
+            if current:
+                sentences.append(current)
+                current = []
+            continue
+        current.append(tok)
     if current:
         sentences.append(current)
     return sentences
@@ -171,14 +178,11 @@ def read_sentences(path):
 def cmd_predict(args):
     cfg = effective_config(args)
     table = load_embeddings(require_path(cfg.embeddings, "embeddings"))
-    cfg.embedding_dim = table.dim
-    net, net_cfg = load_model(cfg)
+    net, net_cfg = load_model(cfg, table)
     sentences = read_sentences(require_path(args.input, "input"))
-    from .data import Example
-
     examples = [Example(tokens=toks, labels=["O"] * len(toks)) for toks in sentences]
     outputs = [None] * len(examples)
-    for batch in batchify(examples, table, cfg.batch_size):
+    for batch in batchify(examples, table, cfg.train.batch_size):
         prob = forward(batch.embeddings, net, net_cfg, mask=batch.mask)[0]
         for i, labels in zip(batch.index.tolist(), decode_bio(prob, batch.mask)):
             outputs[i] = labels
@@ -195,10 +199,10 @@ def cmd_energy(args):
         print(f"{dnn_energy(args.dnn_flops) * 1e3:.4f} mJ")
         return EXIT_OK
     corpus, table = load_dataset(cfg)
-    net, net_cfg = load_model(cfg)
+    net, net_cfg = load_model(cfg, table)
     # gamma sample: the validation split when one fits, else the whole corpus
     n_val = cfg.val_size if cfg.val_size < len(corpus) else 0
-    _, val_set = split_validation(corpus, n_val, cfg.seed)
+    _, val_set = split_validation(corpus, n_val, cfg.train.seed)
     sample = val_set if val_set else corpus
     batch = batchify(sample, table, max(len(sample), 1), rng=None)[0]
     report = profile_network(net, batch, net_cfg)
@@ -214,7 +218,8 @@ def cmd_gradcheck(args):
     worst = 0.0
     for mode in SPIKE_MODES:
         for centering in CENTERINGS:
-            err = grad_check(tiny_gradcheck_config(mode, centering), seed=cfg.seed)
+            err = grad_check(tiny_gradcheck_config(mode, centering),
+                             seed=cfg.train.seed)
             print(f"gradcheck\t{mode}\t{centering}\t{err:.3e}")
             worst = max(worst, err)
     if worst >= GRADCHECK_TOLERANCE:
@@ -228,14 +233,12 @@ def cmd_gradcheck(args):
 def cmd_inspect(args):
     cfg = effective_config(args)
     table = load_embeddings(require_path(cfg.embeddings, "embeddings"))
-    cfg.embedding_dim = table.dim
-    net, net_cfg = load_model(cfg)
+    net, net_cfg = load_model(cfg, table)
     tokens = args.sentence.split()
     if not tokens:
         raise ConfigError("inspect needs a non-empty sentence")
-    emb = np.stack([table.lookup(t) for t in tokens]).astype(np.float32)[None, :, :]
-    mask = np.ones((1, len(tokens)), dtype=np.float32)
-    _, trace = forward(emb, net, net_cfg, mask=mask)
+    batch = batchify([Example(tokens, ["O"] * len(tokens))], table, 1)[0]
+    _, trace = forward(batch.embeddings, net, net_cfg, mask=batch.mask)
     final = trace.spk[-1].block  # last spiking layer, (T, 1, R, C)
     pos = (final > 0).sum(axis=(0, 3))[0]
     neg = (final < 0).sum(axis=(0, 3))[0]

@@ -48,6 +48,15 @@ class Batch:
     index: np.ndarray       # (B,) int64, position in `examples` of each row
 
 
+def utf8_lines(path):
+    """The lines of a UTF-8 text file; undecodable bytes are a ParseError naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from None
+
+
 def load_corpus(path, mode="strict"):
     """Read token/label sentences; returns examples in file order.
 
@@ -79,24 +88,23 @@ def load_corpus(path, mode="strict"):
         tokens.clear()
         labels.clear()
 
-    with open(path, "r", encoding="utf-8") as fh:
-        line_no = 0
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                flush(line_no)
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0]:
-                raise ParseError(
-                    f"expected 'token<TAB>label', got {line!r}", path=path, line=line_no
-                )
-            token, label = parts
-            if label not in LABEL_TO_ID:
-                raise ParseError(f"illegal label {label!r}", path=path, line=line_no)
-            tokens.append(token)
-            labels.append(label)
-        flush(line_no + 1)
+    line_no = 0
+    for line_no, line in enumerate(utf8_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            flush(line_no)
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0]:
+            raise ParseError(
+                f"expected 'token<TAB>label', got {line!r}", path=path, line=line_no
+            )
+        token, label = parts
+        if label not in LABEL_TO_ID:
+            raise ParseError(f"illegal label {label!r}", path=path, line=line_no)
+        tokens.append(token)
+        labels.append(label)
+    flush(line_no + 1)
     load_corpus.last_repairs = repairs
     return examples
 
@@ -118,41 +126,40 @@ def load_embeddings(path):
     dim = None
     duplicates = 0
     total = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split()
-            if not parts:
-                continue
-            if line_no == 1 and len(parts) == 2:
-                try:
-                    int(parts[0])
-                    dim = int(parts[1])
-                    continue  # header "count dim"
-                except ValueError:
-                    pass
-            token, values = parts[0], parts[1:]
-            if dim is None:
-                dim = len(values)
-                if dim == 0:
-                    raise ParseError("no vector values", path=path, line=line_no)
-            if len(values) != dim:
-                raise ParseError(
-                    f"expected {dim} values, got {len(values)}", path=path, line=line_no
-                )
-            if token in vectors:
-                duplicates += 1
-                continue  # keep the first occurrence
+    for line_no, line in enumerate(utf8_lines(path), start=1):
+        parts = line.rstrip("\n").split()
+        if not parts:
+            continue
+        if line_no == 1 and len(parts) == 2:
             try:
-                vec = np.asarray([float(v) for v in values], dtype=np.float32)
+                int(parts[0])
+                dim = int(parts[1])
+                continue  # header "count dim"
             except ValueError:
-                raise ParseError("non-numeric vector value", path=path, line=line_no)
-            if not np.all(np.isfinite(vec)):
-                raise ParseError("non-finite vector value", path=path, line=line_no)
-            vectors[token] = vec
-            if total is None:
-                total = vec.astype(np.float64)
-            else:
-                total += vec
+                pass
+        token, values = parts[0], parts[1:]
+        if dim is None:
+            dim = len(values)
+            if dim == 0:
+                raise ParseError("no vector values", path=path, line=line_no)
+        if len(values) != dim:
+            raise ParseError(
+                f"expected {dim} values, got {len(values)}", path=path, line=line_no
+            )
+        if token in vectors:
+            duplicates += 1
+            continue  # keep the first occurrence
+        try:
+            vec = np.asarray([float(v) for v in values], dtype=np.float32)
+        except ValueError:
+            raise ParseError("non-numeric vector value", path=path, line=line_no)
+        if not np.all(np.isfinite(vec)):
+            raise ParseError("non-finite vector value", path=path, line=line_no)
+        vectors[token] = vec
+        if total is None:
+            total = vec.astype(np.float64)
+        else:
+            total += vec
     if not vectors:
         raise ParseError("embedding file holds no vectors", path=path, line=0)
     unk = (total / len(vectors)).astype(np.float32)

@@ -59,7 +59,7 @@ class NeuronParams:
     w_scd/w_vd are per-channel decay weights (broadcast over batch and
     sequence); w_fv_pos/w_fv_neg are the scalar postsynaptic weights applied
     by the *caller* when forming the drive (binary mode ignores w_fv_neg).
-    Decay weights are unconstrained reals; v_reset is fixed at zero.
+    Decay weights are unconstrained reals; the reset potential is fixed at zero.
     """
 
     w_scd: np.ndarray
@@ -67,7 +67,6 @@ class NeuronParams:
     w_fv_pos: np.ndarray | None = None
     w_fv_neg: np.ndarray | None = None
     v_thr: float = 0.1
-    v_reset: float = 0.0
 
 
 def heaviside(v):

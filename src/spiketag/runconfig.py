@@ -1,10 +1,13 @@
 """Flat key=value run configuration: file values, overridden by CLI flags.
 
-Unknown keys are rejected. The effective configuration is echoed at startup,
-one sorted key=value line each, so every run is auditable.
+A run is a NetworkConfig, a TrainConfig and six run keys of its own. Every
+field of the two is a config key under its own name, except
+TrainConfig.learning_rate, whose key is `lr` (checkpoint headers keep the
+field name). Unknown keys are rejected. The effective configuration is echoed
+at startup, one sorted key=value line each, so every run is auditable.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from .errors import ConfigError
 from .layers import NetworkConfig
@@ -21,94 +24,66 @@ class RunConfig:
     # data handling
     corpus_mode: str = "strict"
     val_size: int = 150
-    # network
-    time_steps: int = 6
-    spike_mode: str = "ternary"
-    channels: int = 128
-    kernel: int = 5
-    n_spiking_conv: int = 3
-    v_thr: float = 0.1
-    decay_init: float = 0.1
-    alpha: float = 2.0
-    embedding_dim: int = 0
-    surrogate_centering: str = "zero"
-    # training
-    batch_size: int = 8
-    lr: float = 0.0001
-    epochs: int = 50
-    seed: int = 0
-    optimizer: str = "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-
-    def network_config(self):
-        return NetworkConfig(
-            time_steps=self.time_steps,
-            spike_mode=self.spike_mode,
-            channels=self.channels,
-            kernel=self.kernel,
-            n_spiking_conv=self.n_spiking_conv,
-            v_thr=self.v_thr,
-            decay_init=self.decay_init,
-            alpha=self.alpha,
-            embedding_dim=self.embedding_dim,
-            surrogate_centering=self.surrogate_centering,
-        ).validate()
-
-    def train_config(self):
-        return TrainConfig(
-            batch_size=self.batch_size,
-            learning_rate=self.lr,
-            epochs=self.epochs,
-            seed=self.seed,
-            optimizer=self.optimizer,
-            adam_beta1=self.adam_beta1,
-            adam_beta2=self.adam_beta2,
-            adam_eps=self.adam_eps,
-        ).validate()
+    network: NetworkConfig = field(default_factory=NetworkConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
 
     def echo(self):
-        lines = []
-        for f in sorted(fields(self), key=lambda f: f.name):
-            value = getattr(self, f.name)
-            if isinstance(value, float):
-                value = repr(value)
-            lines.append(f"{f.name}={value}")
-        return "\n".join(lines)
+        return "\n".join(f"{key}={getattr(*_slot(self, key))}" for key in sorted(KEYS))
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_KEY_OF_FIELD = {"learning_rate": "lr"}
 
 
-def _coerce(key, raw):
-    ftype = _FIELD_TYPES[key]
-    try:
-        if ftype in (int, "int"):
-            return int(raw)
-        if ftype in (float, "float"):
-            return float(raw)
-    except ValueError:
-        raise ConfigError(f"config key {key}: cannot parse {raw!r} as a number")
-    return raw
+def _key_table():
+    """config key -> (section attribute of RunConfig, or None for a run key; field)."""
+    table = {}
+    for f in fields(RunConfig):
+        if is_dataclass(f.type):
+            for g in fields(f.type):
+                table[_KEY_OF_FIELD.get(g.name, g.name)] = (f.name, g)
+        else:
+            table[f.name] = (None, f)
+    return table
+
+
+KEYS = _key_table()
+
+
+def _slot(cfg, key):
+    """(object, attribute name) that holds config key `key` of `cfg`."""
+    section, f = KEYS[key]
+    return (cfg if section is None else getattr(cfg, section)), f.name
+
+
+def _set(cfg, key, raw):
+    ftype = KEYS[key][1].type
+    if ftype in (int, float):
+        try:
+            raw = ftype(raw)
+        except ValueError:
+            raise ConfigError(f"config key {key}: cannot parse {raw!r} as a number")
+    setattr(*_slot(cfg, key), raw)
 
 
 def load_config_file(path):
     """Parse a key=value file; blank lines and '#' comments are ignored."""
     cfg = RunConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key not in _FIELD_TYPES:
-                raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
-            setattr(cfg, key, _coerce(key, raw))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        if key not in KEYS:
+            raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
+        _set(cfg, key, raw.strip())
     return cfg
 
 
@@ -117,7 +92,7 @@ def apply_overrides(cfg, overrides):
     for key, value in overrides.items():
         if value is None:
             continue
-        if key not in _FIELD_TYPES:
+        if key not in KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        setattr(cfg, key, _coerce(key, str(value)))
+        _set(cfg, key, str(value))
     return cfg

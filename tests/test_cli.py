@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from spiketag.cli import main
+from spiketag.layers import NetworkConfig
 from spiketag.persistence import load, restore_network
-from spiketag.training import named_parameters
+from spiketag.training import TrainConfig, named_parameters
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 TOY_CORPUS = os.path.join(FIXTURES, "toy40.tsv")
@@ -250,3 +251,78 @@ def test_checkpoint_optimizer_state_is_the_best_epochs(capsys, tmp_path):
     for name, m in one_epoch.opt_state.m.items():
         assert np.array_equal(ckpt.tensors[f"adam_m.{name}"], m)
         assert np.array_equal(ckpt.tensors[f"adam_v.{name}"], one_epoch.opt_state.v[name])
+
+
+def test_every_config_key_reaches_the_checkpoint(capsys, tmp_path):
+    # one non-default value per NetworkConfig / TrainConfig field, set by its key
+    values = {
+        "time_steps": 2, "spike_mode": "binary", "channels": 4, "kernel": 3,
+        "n_spiking_conv": 2, "v_thr": 0.2, "decay_init": 0.3, "alpha": 3.0,
+        "embedding_dim": 16, "surrogate_centering": "threshold",
+        "batch_size": 4, "lr": 0.001, "epochs": 1, "seed": 3, "optimizer": "sgd",
+        "adam_beta1": 0.8, "adam_beta2": 0.99, "adam_eps": 1e-07,
+    }
+    key = {"learning_rate": "lr"}
+    net_keys = [key.get(f.name, f.name) for f in dataclasses.fields(NetworkConfig)]
+    train_keys = [key.get(f.name, f.name) for f in dataclasses.fields(TrainConfig)]
+    assert sorted(values) == sorted(net_keys + train_keys)
+
+    code, out, err = run(capsys, "train", "--config", small_config(tmp_path, **values))
+    assert code == 0, err
+    run_keys = {"data", "embeddings", "ckpt", "out", "corpus_mode", "val_size"}
+    echoed = [line.partition("=")[0] for line in out.splitlines()[:len(values) + 6]]
+    assert echoed == sorted(set(values) | run_keys)
+
+    ckpt = load(str(tmp_path / "model.ckpt"))
+    stored = dataclasses.asdict(ckpt.net_cfg) | dataclasses.asdict(ckpt.train_cfg)
+    assert {key.get(name, name): value for name, value in stored.items()} == values
+
+
+def non_utf8(path):
+    path.write_bytes(b"caf\xe9\tO\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("reader, expected_code", [
+    ("corpus", 2), ("embeddings", 2), ("input", 2), ("config", 1),
+])
+def test_non_utf8_input_exits_with_its_code(capsys, tmp_path, reader, expected_code):
+    cfg_path = small_config(tmp_path, epochs=1)
+    code, _, err = run(capsys, "train", "--config", cfg_path)
+    assert code == 0, err
+    bad = non_utf8(tmp_path / "bad.txt")
+    ckpt = ["--ckpt", str(tmp_path / "model.ckpt")]
+    argv = {
+        "corpus": ["eval", "--config", cfg_path, "--data", bad, *ckpt],
+        "embeddings": ["eval", "--config", cfg_path, "--embeddings", bad, *ckpt],
+        "input": ["predict", "--config", cfg_path, *ckpt, bad],
+        "config": ["energy", "--config", bad, "--dnn-flops", "1e9"],
+    }[reader]
+    code, _, err = run(capsys, *argv)
+    assert code == expected_code
+    assert bad in err and "UTF-8" in err
+
+
+def write_table(path, dim):
+    rng = np.random.default_rng(0)
+    words = ["we", "loved", "the", "battery", "."]
+    path.write_text("".join(
+        w + " " + " ".join(f"{x:.4f}" for x in rng.normal(size=dim)) + "\n" for w in words
+    ))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["eval", "predict", "inspect", "energy"])
+def test_embedding_table_narrower_than_checkpoint_is_a_data_error(capsys, tmp_path,
+                                                                 command):
+    cfg_path = small_config(tmp_path, epochs=1)
+    code, _, err = run(capsys, "train", "--config", cfg_path)
+    assert code == 0, err
+    narrow = write_table(tmp_path / "narrow.txt", 8)
+    sentences = tmp_path / "raw.txt"
+    sentences.write_text("we\nloved\nthe\nbattery\n.\n")
+    extra = {"predict": [str(sentences)], "inspect": ["we loved the battery ."]}
+    code, _, err = run(capsys, command, "--config", cfg_path, "--embeddings", narrow,
+                       "--ckpt", str(tmp_path / "model.ckpt"), *extra.get(command, []))
+    assert code == 2
+    assert "data error" in err and "dim 8" in err and "embedding_dim 16" in err
