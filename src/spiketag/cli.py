@@ -15,8 +15,8 @@ from .data import (
     batchify,
     load_corpus,
     load_embeddings,
+    read_blocks,
     split_validation,
-    utf8_lines,
 )
 from .energy import dnn_energy, profile_network
 from .errors import (
@@ -27,11 +27,11 @@ from .errors import (
     SpiketagError,
 )
 from .layers import forward
-from .metrics import decode_bio, format_report
+from .metrics import format_report
 from .neuron import CENTERINGS, SPIKE_MODES
 from .persistence import checkpoint_from_training, load, restore_network, save
 from .runconfig import KEYS, RunConfig, apply_overrides, load_config_file
-from .training import evaluate, grad_check, tiny_gradcheck_config, train
+from .training import evaluate, grad_check, predict, tiny_gradcheck_config, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -100,20 +100,20 @@ def require_path(path, what):
 def load_dataset(cfg):
     corpus = load_corpus(require_path(cfg.data, "corpus"), mode=cfg.corpus_mode)
     table = load_embeddings(require_path(cfg.embeddings, "embeddings"))
-    net_cfg = cfg.network
-    if net_cfg.embedding_dim and net_cfg.embedding_dim != table.dim:
-        raise ConfigError(
-            f"configured embedding_dim {net_cfg.embedding_dim} != table dim {table.dim}"
-        )
-    net_cfg.embedding_dim = table.dim
     return corpus, table
 
 
 def cmd_train(args):
     cfg = effective_config(args)
     corpus, table = load_dataset(cfg)
+    net_cfg = cfg.network
+    if net_cfg.embedding_dim and net_cfg.embedding_dim != table.dim:
+        raise ConfigError(
+            f"configured embedding_dim {net_cfg.embedding_dim} != table dim {table.dim}"
+        )
+    net_cfg.embedding_dim = table.dim
     train_set, val_set = split_validation(corpus, cfg.val_size, cfg.train.seed)
-    net_cfg = cfg.network.validate()
+    net_cfg.validate()
     train_cfg = cfg.train.validate()
     out_dir = cfg.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -159,35 +159,16 @@ def cmd_eval(args):
     return EXIT_OK
 
 
-def read_sentences(path):
-    sentences = []
-    current = []
-    for line in utf8_lines(path):
-        tok = line.strip()
-        if not tok:
-            if current:
-                sentences.append(current)
-                current = []
-            continue
-        current.append(tok)
-    if current:
-        sentences.append(current)
-    return sentences
-
-
 def cmd_predict(args):
     cfg = effective_config(args)
     table = load_embeddings(require_path(cfg.embeddings, "embeddings"))
     net, net_cfg = load_model(cfg, table)
-    sentences = read_sentences(require_path(args.input, "input"))
+    sentences = [[line.strip() for _, line in block]
+                 for block in read_blocks(require_path(args.input, "input"))]
     examples = [Example(tokens=toks, labels=["O"] * len(toks)) for toks in sentences]
-    outputs = [None] * len(examples)
-    for batch in batchify(examples, table, cfg.train.batch_size):
-        prob = forward(batch.embeddings, net, net_cfg, mask=batch.mask)[0]
-        for i, labels in zip(batch.index.tolist(), decode_bio(prob, batch.mask)):
-            outputs[i] = labels
-    for toks, labels in zip(sentences, outputs):
-        for tok, lab in zip(toks, labels):
+    labels = dict(predict(examples, table, net, net_cfg, cfg.train.batch_size))
+    for i, toks in enumerate(sentences):
+        for tok, lab in zip(toks, labels[i]):
             print(f"{tok}\t{lab}")
         print()
     return EXIT_OK
@@ -199,12 +180,14 @@ def cmd_energy(args):
         print(f"{dnn_energy(args.dnn_flops) * 1e3:.4f} mJ")
         return EXIT_OK
     corpus, table = load_dataset(cfg)
+    if not corpus:
+        raise ParseError("corpus holds no sentences", path=cfg.data)
     net, net_cfg = load_model(cfg, table)
     # gamma sample: the validation split when one fits, else the whole corpus
     n_val = cfg.val_size if cfg.val_size < len(corpus) else 0
     _, val_set = split_validation(corpus, n_val, cfg.train.seed)
     sample = val_set if val_set else corpus
-    batch = batchify(sample, table, max(len(sample), 1), rng=None)[0]
+    batch = batchify(sample, table, len(sample))[0]
     report = profile_network(net, batch, net_cfg)
     print(report.rows())
     import json

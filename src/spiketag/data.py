@@ -57,54 +57,56 @@ def utf8_lines(path):
             raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from None
 
 
+def read_blocks(path):
+    """Blank-line separated blocks of a UTF-8 text file, each a list of
+    (1-based line number, line without its newline) pairs."""
+    block = []
+    for line_no, line in enumerate(utf8_lines(path), start=1):
+        line = line.rstrip("\n")
+        if line.strip():
+            block.append((line_no, line))
+        elif block:
+            yield block
+            block = []
+    if block:
+        yield block
+
+
 def load_corpus(path, mode="strict"):
     """Read token/label sentences; returns examples in file order.
 
-    strict mode rejects an I that follows O or starts a sentence; lenient
-    mode rewrites it to B (the repair count is tallied on the function
-    attribute `last_repairs` for reporting).
+    Lines are checked as they are read, so an error names the first bad
+    line in the file. strict mode rejects an I that follows O or starts a
+    sentence; lenient mode rewrites it to B (the repair count is tallied on
+    the function attribute `last_repairs` for reporting).
     """
     if mode not in ("strict", "lenient"):
         raise ConfigError(f"unknown corpus mode {mode!r}")
     examples = []
-    tokens, labels = [], []
     repairs = 0
-
-    def flush(line_no):
-        nonlocal repairs
-        if not tokens:
-            return
+    for block in read_blocks(path):
+        tokens, labels = [], []
         prev = "O"
-        for idx, lab in enumerate(labels):
-            if lab == "I" and prev == "O":
+        for line_no, line in block:
+            parts = line.split("\t")
+            if len(parts) != 2 or not parts[0]:
+                raise ParseError(
+                    f"expected 'token<TAB>label', got {line!r}", path=path, line=line_no
+                )
+            token, label = parts
+            if label not in LABEL_TO_ID:
+                raise ParseError(f"illegal label {label!r}", path=path, line=line_no)
+            if label == "I" and prev == "O":
                 if mode == "strict":
                     raise ParseError(
                         "label I follows O or sentence start", path=path, line=line_no
                     )
-                labels[idx] = "B"
+                label = "B"
                 repairs += 1
-            prev = labels[idx]
-        examples.append(Example(tokens=list(tokens), labels=list(labels)))
-        tokens.clear()
-        labels.clear()
-
-    line_no = 0
-    for line_no, line in enumerate(utf8_lines(path), start=1):
-        line = line.rstrip("\n")
-        if not line.strip():
-            flush(line_no)
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0]:
-            raise ParseError(
-                f"expected 'token<TAB>label', got {line!r}", path=path, line=line_no
-            )
-        token, label = parts
-        if label not in LABEL_TO_ID:
-            raise ParseError(f"illegal label {label!r}", path=path, line=line_no)
-        tokens.append(token)
-        labels.append(label)
-    flush(line_no + 1)
+            tokens.append(token)
+            labels.append(label)
+            prev = label
+        examples.append(Example(tokens=tokens, labels=labels))
     load_corpus.last_repairs = repairs
     return examples
 

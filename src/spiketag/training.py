@@ -94,6 +94,23 @@ def token_weights(labels, mask):
     return mask / (n * safe)
 
 
+def _labeled_scores(prob_class, labels, mask, prob_scale):
+    """What the loss and its adjoint share: the int64 labels, the token
+    weights, the labeled-class scores (divided by prob_scale when given; in
+    float32 floored at 1e-12) and the mask of scores on that floor."""
+    labels = np.asarray(labels, dtype=np.int64)
+    w = token_weights(labels, mask).astype(prob_class.dtype)
+    p_true = np.take_along_axis(prob_class, labels[:, :, None], axis=2)[:, :, 0]
+    if prob_scale is not None:
+        p_true = p_true / prob_scale
+    floored = (prob_class.dtype == np.float32) & (p_true < PROB_FLOOR_32)
+    if prob_class.dtype == np.float32:
+        p_true = np.maximum(p_true, PROB_FLOOR_32)
+    elif np.any((p_true <= 0) & (w > 0)):
+        raise NumericError("zero probability at a labeled class")
+    return labels, w, p_true, floored
+
+
 def cross_entropy(prob_class, labels, mask, prob_scale=None):
     """Mean over examples of the per-sentence mean token cross-entropy.
 
@@ -103,40 +120,19 @@ def cross_entropy(prob_class, labels, mask, prob_scale=None):
     the /T-normalization regression test). In float32, scores at a labeled
     class are floored at 1e-12 before the log.
     """
-    prob_class = np.asarray(prob_class)
-    labels = np.asarray(labels, dtype=np.int64)
-    w = token_weights(labels, mask).astype(prob_class.dtype)
-    p_true = np.take_along_axis(prob_class, labels[:, :, None], axis=2)[:, :, 0]
-    if prob_scale is not None:
-        p_true = p_true / prob_scale
-    if prob_class.dtype == np.float32:
-        p_true = np.maximum(p_true, PROB_FLOOR_32)
-    elif np.any((p_true <= 0) & (w > 0)):
-        raise NumericError("zero probability at a labeled class")
+    _, w, p_true, _ = _labeled_scores(np.asarray(prob_class), labels, mask, prob_scale)
     return float(-(w * np.log(p_true)).sum())
 
 
-def _prob_adjoint(trace, labels, mask, prob_scale):
+def _prob_adjoint(prob, labels, mask, prob_scale):
     """dL/dprob_class for the masked mean cross-entropy."""
-    prob = trace.prob_class
-    labels = np.asarray(labels, dtype=np.int64)
-    w = token_weights(labels, mask).astype(prob.dtype)
-    g = np.zeros_like(prob)
-    p_true = np.take_along_axis(prob, labels[:, :, None], axis=2)[:, :, 0]
-    if prob.dtype == np.float32:
-        p_safe = np.maximum(p_true, PROB_FLOOR_32)
-    else:
-        if np.any((p_true <= 0) & (w > 0)):
-            raise NumericError("zero probability at a labeled class")
-        p_safe = p_true
+    labels, w, p_true, floored = _labeled_scores(prob, labels, mask, prob_scale)
+    # d(-log(p/s))/dp = -(1/(p/s)) * (1/s); the floor's clip has zero slope
+    d = -w / p_true
     if prob_scale is not None:
-        # same float path as the scaled loss: d(-log(p/s))/dp = -(1/(p/s)) * (1/s)
-        d = -w / (p_safe / prob_scale) / prob_scale
-    else:
-        d = -w / p_safe
-    if prob.dtype == np.float32:
-        # tokens sitting on the floor got a clipped loss; the clip has zero slope
-        d = np.where(p_true < PROB_FLOOR_32, 0.0, d)
+        d = d / prob_scale
+    d = np.where(floored, 0.0, d)
+    g = np.zeros_like(prob)
     np.put_along_axis(g, labels[:, :, None], d[:, :, None], axis=2)
     return g
 
@@ -209,7 +205,7 @@ def backward(trace, labels, mask, net, cfg: NetworkConfig, prob_scale=None,
     mask_col = None if trace.mask is None else trace.mask[:, :, None]
 
     grads = zero_gradients(net)
-    g_prob = _prob_adjoint(trace, labels, mask, prob_scale)
+    g_prob = _prob_adjoint(trace.prob_class, labels, mask, prob_scale)
 
     # output decoder: each timestep's softmax feeds prob_class additively.
     # It reads masked spikes, so masking d_logits covers both of its products.
@@ -373,25 +369,34 @@ def train(train_examples, val_examples, table, net_cfg: NetworkConfig,
     return result
 
 
+def predict(examples, table, net, net_cfg, batch_size=8):
+    """Yields (input position, decoded BIO labels) for each of `examples`.
+
+    The one inference loop: batches run one at a time in batchify's length
+    order, and each forward's trace is dropped as soon as the call returns.
+    """
+    from .data import batchify
+    from .metrics import decode_bio
+
+    for batch in batchify(examples, table, batch_size):
+        prob = forward(batch.embeddings, net, net_cfg, mask=batch.mask)[0]
+        yield from zip(batch.index.tolist(), decode_bio(prob, batch.mask))
+
+
 def evaluate(examples, table, net, net_cfg, batch_size=8):
     """Span-level micro P/R/F1 of the network's predictions on `examples`.
 
-    Batches come in batchify's length order; spans are keyed by each row's
-    position in `examples`. Each forward's trace is dropped as soon as the
-    call returns, so it is not alive while the next batch runs.
+    Spans are keyed by each sentence's position in `examples`.
     """
-    from .data import batchify
-    from .metrics import decode_bio, extract_spans, span_f1
+    from .metrics import extract_spans, span_f1
 
     if not examples:
         return 1.0, 1.0, 1.0, 0, 0, 0
     gold_spans = []
     pred_spans = []
-    for batch in batchify(examples, table, batch_size):
-        prob = forward(batch.embeddings, net, net_cfg, mask=batch.mask)[0]
-        for sent, pred in zip(batch.index.tolist(), decode_bio(prob, batch.mask)):
-            gold_spans.extend((sent, s, e) for s, e in extract_spans(examples[sent].labels))
-            pred_spans.extend((sent, s, e) for s, e in extract_spans(pred))
+    for sent, pred in predict(examples, table, net, net_cfg, batch_size):
+        gold_spans.extend((sent, s, e) for s, e in extract_spans(examples[sent].labels))
+        pred_spans.extend((sent, s, e) for s, e in extract_spans(pred))
     return span_f1(gold_spans, pred_spans)
 
 

@@ -205,16 +205,16 @@ def test_predict_batches_by_length_and_answers_in_input_order(capsys, tmp_path,
     raw = tmp_path / "raw.txt"
     raw.write_text("\n\n".join("\n".join(toks) for toks in sentences) + "\n")
 
-    from spiketag import cli
+    from spiketag import training
 
     widths = []
-    real_forward = cli.forward
+    real_forward = training.forward
 
     def spy(emb, *args, **kwargs):
         widths.append(emb.shape[:2])
         return real_forward(emb, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "forward", spy)
+    monkeypatch.setattr(training, "forward", spy)
     code, out, _ = run(capsys, "predict", "--config", cfg_path, "--ckpt", ckpt_path, str(raw))
     assert code == 0
     assert widths == [(2, 3), (2, 12)]  # lengths 2 and 3, then 8 and 12
@@ -326,3 +326,41 @@ def test_embedding_table_narrower_than_checkpoint_is_a_data_error(capsys, tmp_pa
                        "--ckpt", str(tmp_path / "model.ckpt"), *extra.get(command, []))
     assert code == 2
     assert "data error" in err and "dim 8" in err and "embedding_dim 16" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "energy"])
+def test_commands_that_load_a_checkpoint_ignore_a_config_embedding_dim(capsys, tmp_path,
+                                                                        command):
+    # the network, its input width included, comes from the checkpoint
+    code, _, err = run(capsys, "train", "--config", small_config(tmp_path, epochs=1))
+    assert code == 0, err
+    ckpt = ["--ckpt", str(tmp_path / "model.ckpt")]
+    code, plain, _ = run(capsys, command, "--config", small_config(tmp_path), *ckpt)
+    assert code == 0
+    code, keyed, err = run(capsys, command, "--config",
+                           small_config(tmp_path, embedding_dim=8), *ckpt)
+    assert code == 0, err
+    assert "embedding_dim=8" in keyed
+
+    def report(out):
+        return [line for line in out.splitlines() if not line.startswith("embedding_dim=")]
+
+    assert report(keyed) == report(plain)
+
+
+def test_train_refuses_a_config_embedding_dim_other_than_the_tables(capsys, tmp_path):
+    code, _, err = run(capsys, "train", "--config", small_config(tmp_path, embedding_dim=8))
+    assert code == 1
+    assert "embedding_dim 8" in err and "table dim 16" in err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_energy_on_an_empty_corpus_is_a_data_error(capsys, tmp_path):
+    code, _, err = run(capsys, "train", "--config", small_config(tmp_path, epochs=1))
+    assert code == 0, err
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("")
+    code, _, err = run(capsys, "energy", "--config", small_config(tmp_path),
+                       "--data", str(empty), "--ckpt", str(tmp_path / "model.ckpt"))
+    assert code == 2
+    assert "data error" in err and str(empty) in err

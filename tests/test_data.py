@@ -60,6 +60,22 @@ def test_strict_rejects_leading_i_lenient_repairs(tmp_path):
     assert load_corpus.last_repairs == 1
 
 
+@pytest.mark.parametrize("body, bad_line", [
+    # an I after O in a middle sentence, followed by more sentences
+    ("a\tO\nb\tB\n\nc\tO\nd\tI\ne\tO\n\nf\tB\n", 5),
+    # an I after O on the last line of a file with no trailing blank line
+    ("a\tB\n\nb\tO\nc\tO\nd\tI", 5),
+    # a later malformed line in the same sentence does not take precedence
+    ("a\tO\nb\tI\nc\tX\n", 2),
+])
+def test_strict_error_names_the_line_of_the_i(tmp_path, body, bad_line):
+    path = write(tmp_path, "bio.tsv", body)
+    with pytest.raises(ParseError) as err:
+        load_corpus(path, mode="strict")
+    assert err.value.line == bad_line
+    assert "label I follows O" in str(err.value)
+
+
 def test_corpus_round_trip(tmp_path, toy_corpus):
     path = tmp_path / "round.tsv"
     write_corpus(toy_corpus[:25], str(path))

@@ -59,6 +59,30 @@ def test_cross_entropy_float32_floor_vs_float64_error():
         cross_entropy(np.zeros((1, 1, 3)), np.asarray([[1]]), np.ones((1, 1)))
 
 
+def test_float32_scaled_loss_adjoint_is_the_slope_of_the_loss():
+    # the adjoint must see the same floor as the loss: the scaled score 5e-12 / 6
+    # sits below 1e-12, so the loss is flat there and its gradient is 0
+    from spiketag.training import _prob_adjoint
+
+    rng = np.random.default_rng(4)
+    prob = rng.uniform(0.3, 3.0, size=(2, 3, 3)).astype(np.float32)
+    labels = np.asarray([[0, 2, 1], [1, 1, 0]])
+    mask = np.asarray([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+    prob[0, 1, 2] = 5e-12
+    scale = 6.0
+
+    adjoint = _prob_adjoint(prob, labels, mask, scale)
+    assert adjoint[0, 1, 2] == 0.0
+    for idx in np.ndindex(prob.shape):
+        h = prob[idx] * 0.01
+        up, down = prob.copy(), prob.copy()
+        up[idx] += h
+        down[idx] -= h
+        slope = (cross_entropy(up, labels, mask, scale)
+                 - cross_entropy(down, labels, mask, scale)) / float(up[idx] - down[idx])
+        assert adjoint[idx] == pytest.approx(slope, rel=1e-2, abs=1e-6), idx
+
+
 def tiny_setup(mode="ternary", centering="zero", seed=0, r=3, batch=1):
     cfg = tiny_gradcheck_config(mode, centering)
     rng = np.random.default_rng(seed)
