@@ -99,6 +99,8 @@ def require_path(path, what):
 
 def load_dataset(cfg):
     corpus = load_corpus(require_path(cfg.data, "corpus"), mode=cfg.corpus_mode)
+    if not corpus:
+        raise ParseError("corpus holds no sentences", path=cfg.data)
     table = load_embeddings(require_path(cfg.embeddings, "embeddings"))
     return corpus, table
 
@@ -180,8 +182,6 @@ def cmd_energy(args):
         print(f"{dnn_energy(args.dnn_flops) * 1e3:.4f} mJ")
         return EXIT_OK
     corpus, table = load_dataset(cfg)
-    if not corpus:
-        raise ParseError("corpus holds no sentences", path=cfg.data)
     net, net_cfg = load_model(cfg, table)
     # gamma sample: the validation split when one fits, else the whole corpus
     n_val = cfg.val_size if cfg.val_size < len(corpus) else 0

@@ -5,7 +5,7 @@ in {O, B, I}, blank line between sentences. Embedding files are text: an
 optional "count dim" header line, then "token v1 ... vE" per line.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -13,6 +13,7 @@ from .errors import ConfigError, ParseError
 
 LABELS = ("O", "B", "I")
 LABEL_TO_ID = {lab: i for i, lab in enumerate(LABELS)}
+CHUNK_LINES = 2048  # table lines per np.loadtxt call: bounds the parse's memory
 
 
 @dataclass
@@ -23,21 +24,42 @@ class Example:
 
 @dataclass
 class EmbeddingTable:
+    """Token vectors as the rows of one (V + 1, dim) float32 matrix.
+
+    Row `rows[token]` of `matrix` is that token's vector and the last row is
+    `unk`. A table built from a token -> vector dict stacks it once; pass
+    `matrix` (the vectors' rows, then unk's) to adopt it without a copy.
+    Either way `vectors` and `unk` are then row views of `matrix`.
+    """
+
     dim: int
-    vectors: dict  # token -> np.ndarray (dim,)
+    vectors: dict  # token -> (dim,) float32
     unk: np.ndarray
     oov_tokens: int = 0
     duplicate_tokens: int = 0
+    matrix: np.ndarray = field(default=None, repr=False)
+    rows: dict = field(init=False, repr=False)  # token -> row of matrix
+
+    def __post_init__(self):
+        if self.matrix is None:
+            self.matrix = np.stack([*self.vectors.values(), self.unk], dtype=np.float32)
+        self.rows = {tok: i for i, tok in enumerate(self.vectors)}
+        self.vectors = dict(zip(self.rows, self.matrix))
+        self.unk = self.matrix[-1]
+
+    def row(self, token):
+        """Case-sensitive first, lowercase fallback, then the unk row (an OOV token)."""
+        i = self.rows.get(token)
+        if i is None:
+            i = self.rows.get(token.lower())
+        if i is None:
+            self.oov_tokens += 1
+            return len(self.rows)
+        return i
 
     def lookup(self, token):
-        """Case-sensitive first, lowercase fallback, then the unk vector."""
-        vec = self.vectors.get(token)
-        if vec is None:
-            vec = self.vectors.get(token.lower())
-        if vec is None:
-            self.oov_tokens += 1
-            return self.unk
-        return vec
+        """The vector `row` resolves `token` to, a row view of `matrix`."""
+        return self.matrix[self.row(token)]
 
 
 @dataclass
@@ -123,55 +145,101 @@ def write_corpus(examples, path):
 
 
 def load_embeddings(path):
-    """Parse a text embedding table; unk is the mean of all loaded vectors."""
-    vectors = {}
+    """Parse a text embedding table; unk is the mean of all loaded vectors.
+
+    Lines are checked in file order, so an error names the first bad line:
+    every line's value count, and a first occurrence's values (numeric and
+    finite; a duplicate token keeps its first vector). numpy's C parser
+    reads the values CHUNK_LINES lines at a time, as float64 rounded to
+    float32 like Python's float(). A chunk it rejects is re-read line by
+    line with float(), which names the bad line or accepts a numeral numpy
+    does not read (such as "1_0").
+    """
+    rows = {}  # token -> row, first occurrences in file order
     dim = None
     duplicates = 0
-    total = None
+    blocks = []  # float32 values of the parsed chunks
+    pending = []  # (line number, value text) of first occurrences not yet parsed
     for line_no, line in enumerate(utf8_lines(path), start=1):
-        parts = line.rstrip("\n").split()
+        parts = line.split(None, 1)
         if not parts:
             continue
-        if line_no == 1 and len(parts) == 2:
+        if line_no == 1 and len(line.split()) == 2:
             try:
                 int(parts[0])
                 dim = int(parts[1])
                 continue  # header "count dim"
             except ValueError:
                 pass
-        token, values = parts[0], parts[1:]
+        token = parts[0]
+        rest = parts[1] if len(parts) == 2 else ""
         if dim is None:
-            dim = len(values)
+            dim = len(rest.split())
             if dim == 0:
                 raise ParseError("no vector values", path=path, line=line_no)
-        if len(values) != dim:
-            raise ParseError(
-                f"expected {dim} values, got {len(values)}", path=path, line=line_no
-            )
-        if token in vectors:
-            duplicates += 1
-            continue  # keep the first occurrence
+        duplicate = token in rows
+        if duplicate or not rest:  # loadtxt counts the other lines' values
+            count = len(rest.split())
+            if count != dim:
+                if pending:
+                    _parse_values(pending, dim, path)  # an earlier bad line comes first
+                raise _width_error(dim, count, path, line_no)
+            if duplicate:
+                duplicates += 1
+                continue  # keep the first occurrence
+        rows[token] = len(rows)
+        pending.append((line_no, rest))
+        if len(pending) == CHUNK_LINES:
+            blocks.append(_parse_values(pending, dim, path))
+            pending = []
+    if pending:
+        blocks.append(_parse_values(pending, dim, path))
+    if not rows:
+        raise ParseError("embedding file holds no vectors", path=path, line=0)
+    matrix = np.empty((len(rows) + 1, dim), dtype=np.float32)
+    np.concatenate(blocks, out=matrix[:-1])
+    # unk sums the rows in file order from the first row, as a running total
+    # would: -0.0 is the identity that keeps an all -0.0 column's sign, and a
+    # single column's sum would be pairwise
+    if dim == 1:
+        total = np.cumsum(matrix[:-1, 0], dtype=np.float64)[-1:]
+    else:
+        total = matrix[:-1].sum(axis=0, dtype=np.float64, initial=-0.0)
+    matrix[-1] = total / len(rows)
+    return EmbeddingTable(dim=dim, vectors=dict(zip(rows, matrix)), unk=matrix[-1],
+                          duplicate_tokens=duplicates, matrix=matrix)
+
+
+def _width_error(dim, count, path, line_no):
+    return ParseError(f"expected {dim} values, got {count}", path=path, line=line_no)
+
+
+def _parse_values(pending, dim, path):
+    """(len(pending), dim) float32 values of (line number, value text) pairs."""
+    if dim:  # loadtxt reads no row from a line without values
         try:
-            vec = np.asarray([float(v) for v in values], dtype=np.float32)
+            values = np.loadtxt([rest for _, rest in pending], dtype=np.float64,
+                                comments=None, ndmin=2)
+        except ValueError:
+            values = None
+        if values is not None and values.shape == (len(pending), dim):
+            with np.errstate(over="ignore"):  # float32 overflow is caught as non-finite
+                values = values.astype(np.float32)
+            if np.isfinite(values).all():
+                return values
+    out = []  # allocated as lines pass, so a header's bad dim cannot size it
+    for line_no, rest in pending:
+        fields = rest.split()
+        if len(fields) != dim:
+            raise _width_error(dim, len(fields), path, line_no)
+        try:
+            vec = np.asarray([float(v) for v in fields], dtype=np.float32)
         except ValueError:
             raise ParseError("non-numeric vector value", path=path, line=line_no)
         if not np.all(np.isfinite(vec)):
             raise ParseError("non-finite vector value", path=path, line=line_no)
-        vectors[token] = vec
-        if total is None:
-            total = vec.astype(np.float64)
-        else:
-            total += vec
-    if not vectors:
-        raise ParseError("embedding file holds no vectors", path=path, line=0)
-    unk = (total / len(vectors)).astype(np.float32)
-    return EmbeddingTable(
-        dim=dim, vectors=vectors, unk=unk, duplicate_tokens=duplicates
-    )
-
-
-def embed_example(ex, table):
-    return np.stack([table.lookup(tok) for tok in ex.tokens]).astype(np.float32)
+        out.append(vec)
+    return np.stack(out)
 
 
 def batchify(examples, table, batch_size, rng=None):
@@ -197,14 +265,16 @@ def batchify(examples, table, batch_size, rng=None):
         chunk = [examples[i] for i in index]
         r_max = max(len(ex.tokens) for ex in chunk)
         b = len(chunk)
-        emb = np.zeros((b, r_max, table.dim), dtype=np.float32)
+        rows = np.zeros((b, r_max), dtype=np.intp)
         labels = np.zeros((b, r_max), dtype=np.int64)
         mask = np.zeros((b, r_max), dtype=np.float32)
         for i, ex in enumerate(chunk):
             n = len(ex.tokens)
-            emb[i, :n] = embed_example(ex, table)
+            rows[i, :n] = [table.row(tok) for tok in ex.tokens]
             labels[i, :n] = [LABEL_TO_ID[lab] for lab in ex.labels]
             mask[i, :n] = 1.0
+        emb = table.matrix[rows]
+        emb[mask == 0] = 0.0
         batches.append(Batch(embeddings=emb, labels=labels, mask=mask, index=index))
     return batches
 

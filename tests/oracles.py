@@ -1,13 +1,18 @@
 """Independent reference implementations used only by tests.
 
 These deliberately avoid the package's vectorized code paths: convolution is
-a naive triple loop, and the LIF simulator below advances one scalar neuron
-at a time with plain Python floats.
+a naive triple loop, the LIF simulator below advances one scalar neuron
+at a time with plain Python floats, and the embedding-table parser reads
+one line at a time with Python's float().
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
+
+from spiketag.data import utf8_lines
+from spiketag.errors import ParseError
 
 
 def conv1d_naive(x, kernels, bias, padding, stride=1):
@@ -72,3 +77,52 @@ def softmax_closed_form(values):
     exps = [math.exp(v - max(values)) for v in values]
     total = sum(exps)
     return [e / total for e in exps]
+
+
+def load_embeddings_line_by_line(path):
+    """The line-by-line table parser: one float() per value, a running
+    float64 sum for unk. Returns the table's parts, not an EmbeddingTable."""
+    vectors = {}
+    dim = None
+    duplicates = 0
+    total = None
+    for line_no, line in enumerate(utf8_lines(path), start=1):
+        parts = line.rstrip("\n").split()
+        if not parts:
+            continue
+        if line_no == 1 and len(parts) == 2:
+            try:
+                int(parts[0])
+                dim = int(parts[1])
+                continue  # header "count dim"
+            except ValueError:
+                pass
+        token, values = parts[0], parts[1:]
+        if dim is None:
+            dim = len(values)
+            if dim == 0:
+                raise ParseError("no vector values", path=path, line=line_no)
+        if len(values) != dim:
+            raise ParseError(
+                f"expected {dim} values, got {len(values)}", path=path, line=line_no
+            )
+        if token in vectors:
+            duplicates += 1
+            continue  # keep the first occurrence
+        try:
+            vec = np.asarray([float(v) for v in values], dtype=np.float32)
+        except ValueError:
+            raise ParseError("non-numeric vector value", path=path, line=line_no)
+        if not np.all(np.isfinite(vec)):
+            raise ParseError("non-finite vector value", path=path, line=line_no)
+        vectors[token] = vec
+        if total is None:
+            total = vec.astype(np.float64)
+        else:
+            total += vec
+    if not vectors:
+        raise ParseError("embedding file holds no vectors", path=path, line=0)
+    unk = (total / len(vectors)).astype(np.float32)
+    return SimpleNamespace(
+        dim=dim, vectors=vectors, unk=unk, duplicate_tokens=duplicates
+    )

@@ -364,3 +364,21 @@ def test_energy_on_an_empty_corpus_is_a_data_error(capsys, tmp_path):
                        "--data", str(empty), "--ckpt", str(tmp_path / "model.ckpt"))
     assert code == 2
     assert "data error" in err and str(empty) in err
+
+
+@pytest.mark.parametrize("command, val_size", [("eval", 8), ("train", 8), ("train", 0)])
+def test_an_empty_corpus_is_a_data_error_naming_the_file(capsys, tmp_path, command,
+                                                         val_size):
+    argv = []
+    if command == "eval":
+        code, _, err = run(capsys, "train", "--config", small_config(tmp_path, epochs=1))
+        assert code == 0, err
+        argv = ["--ckpt", str(tmp_path / "trained.ckpt")]
+        (tmp_path / "model.ckpt").rename(argv[1])
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("\n\n")
+    code, out, err = run(capsys, command, "--config", small_config(tmp_path, val_size=val_size),
+                         "--data", str(empty), *argv)
+    assert code == 2
+    assert "data error" in err and "no sentences" in err and str(empty) in err
+    assert "TP\tFP\tFN" not in out and not (tmp_path / "model.ckpt").exists()

@@ -1,17 +1,25 @@
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import load_embeddings_line_by_line
 
+from spiketag import data
 from spiketag.data import (
     LABEL_TO_ID,
+    EmbeddingTable,
     Example,
     batchify,
-    embed_example,
     load_corpus,
     load_embeddings,
     split_validation,
     write_corpus,
 )
 from spiketag.errors import ConfigError, ParseError
+from spiketag.toygen import write_embedding_file
 
 REVIEW1_TOKENS = ["it", "is", "super", "fast", "and", "has", "outstanding",
                   "graphics", "."]
@@ -122,6 +130,125 @@ def test_embeddings_inconsistent_length(tmp_path):
     assert err.value.line == 2
 
 
+def outcome(load, path):
+    """A parse's result as comparable values: the ParseError, or the table's bits."""
+    try:
+        table = load(path)
+    except ParseError as exc:
+        return "error", exc.line, str(exc)
+    return ("table", table.dim, table.duplicate_tokens, list(table.vectors),
+            [(v.dtype, v.shape, v.tobytes()) for v in table.vectors.values()],
+            (table.unk.dtype, table.unk.shape, table.unk.tobytes()))
+
+
+def assert_parses_like_line_by_line(path, chunk_lines):
+    expected = outcome(load_embeddings_line_by_line, path)
+    with mock.patch.object(data, "CHUNK_LINES", chunk_lines):
+        assert outcome(load_embeddings, path) == expected
+    return expected
+
+
+NUMERALS = st.one_of(
+    st.integers(-999, 999).map(str),
+    st.floats(-10, 10).map(lambda v: f"{v:.5f}"),
+    st.floats(-10, 10).map(repr),
+    st.floats(1e-30, 1e30).map(lambda v: f"{v:e}"),
+)
+ODD_VALUES = st.sampled_from([
+    "nan", "-inf", "Infinity", "1e39", "-3.4e38", "1e-50", "1_0", "-2_5.5", "abc",
+    "1.2.3", "0x10", "\u0661\u0662", "--1", "1e", ".", "#1",
+])
+SEPARATORS = st.sampled_from([" ", " ", "\t", "  ", " \t ", "\x0c", "\xa0", "\u3000"])
+
+
+@st.composite
+def embedding_files(draw):
+    """Table text (with or without a header, blank lines, duplicates and
+    mixed whitespace) whose values are mostly numerals, some odd."""
+    dim = draw(st.integers(1, 3))
+    lines = []
+    header = draw(st.sampled_from([None, None, None, dim, dim, dim, dim + 1, 0, -dim, 10**12]))
+    if header is not None:
+        lines.append(f"{draw(st.integers(0, 9))} {header}")
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.integers(0, 39))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        token = draw(st.sampled_from(["w", "W", "x", "y", "z", "Zz", "3", "\u00e9"]))
+        width = dim if kind > 1 else draw(st.sampled_from([0, dim - 1, dim + 1]))
+        values = [draw(ODD_VALUES) if draw(st.integers(0, 24)) == 0 else draw(NUMERALS)
+                  for _ in range(width)]
+        sep = draw(SEPARATORS)
+        lines.append(draw(SEPARATORS.filter(str.isspace)) * draw(st.integers(0, 1))
+                     + sep.join([token] + values) + draw(st.sampled_from(["", " "])))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("tables")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=embedding_files(), chunk_lines=st.integers(1, 4))
+def test_table_parse_matches_the_line_by_line_parser(table_dir, text, chunk_lines):
+    path = table_dir / "table.txt"
+    path.write_text(text, encoding="utf-8")
+    assert_parses_like_line_by_line(str(path), chunk_lines)
+
+
+@pytest.mark.parametrize("text, chunk_lines, bad_line", [
+    # a bad value early in the pending chunk beats a later wrong-width duplicate
+    ("a 1 2\nb 1 x\nc 3 4\na 1 2 3\n", 100, 2),
+    # ... and a later line with no values at all
+    ("a 1 2\nb inf 2\nc\n", 100, 2),
+    # a non-finite value in one chunk beats a width error in the next
+    ("a 1 2\nb 1 nan\nc 1 2 3\n", 2, 2),
+    ("a 1 2\nb 1 2\nc 1e39 2\nd 1\n", 3, 3),
+    # a value count error beats a bad value later in its chunk
+    ("2 2\na 1 2\nb 1\nc x y\n", 100, 3),
+    # a header's negative or huge dim is a value count error, not an allocation
+    ("2 -2\na 1 2\n", 100, 2),
+    ("2 1000000000000\na 1 2\n", 100, 2),
+])
+def test_table_errors_name_the_first_bad_line(tmp_path, text, chunk_lines, bad_line):
+    path = write(tmp_path, "emb.txt", text)
+    assert assert_parses_like_line_by_line(path, chunk_lines)[:2] == ("error", bad_line)
+
+
+def test_numerals_only_python_reads_take_the_line_by_line_path(tmp_path):
+    path = write(tmp_path, "emb.txt", "a 1_0 2\nb \u0663 -4_0.5\nc 1 2\n")
+    expected = assert_parses_like_line_by_line(path, 2)
+    assert expected[0] == "table"
+    table = load_embeddings(path)
+    assert table.lookup("a").tolist() == [10.0, 2.0]
+    assert table.lookup("b").tolist() == [3.0, -40.5]
+
+
+def test_single_column_unk_is_the_running_sum_not_the_pairwise_one(tmp_path):
+    # a running float64 sum absorbs every 1 into 2**60; numpy's pairwise sum
+    # of a single column adds the 1s up first
+    column = np.array([2.0**60] + [1.0] * 1000 + [-(2.0**60)], dtype=np.float32)
+    assert column[:, None].sum(axis=0, dtype=np.float64)[0] != 0.0
+    text = "".join(f"t{i} {float(v)!r}\n" for i, v in enumerate(column))
+    path = write(tmp_path, "emb.txt", text)
+    assert assert_parses_like_line_by_line(path, 128)[0] == "table"
+    assert load_embeddings(path).unk.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("text", ["a -0 1\nb -0.0 2\n", "a -0 1\n"])
+def test_unk_of_a_column_of_negative_zeros_is_negative_zero(tmp_path, text):
+    assert assert_parses_like_line_by_line(write(tmp_path, "emb.txt", text), 128)[0] == "table"
+    assert np.signbit(load_embeddings(write(tmp_path, "emb.txt", text)).unk[0])
+
+
+def test_fixture_table_parses_like_the_line_by_line_parser():
+    fixture = os.path.join(os.path.dirname(__file__), "fixtures", "toy_embeddings.txt")
+    assert_parses_like_line_by_line(fixture, data.CHUNK_LINES)
+    assert_parses_like_line_by_line(fixture, 5)
+
+
 def two_sentence_examples():
     return [
         Example(tokens=["a", "b", "c"], labels=["O", "B", "I"]),
@@ -132,8 +259,6 @@ def two_sentence_examples():
 def table_for(tokens, dim=2):
     vectors = {t: np.full(dim, float(i + 1), dtype=np.float32)
                for i, t in enumerate(tokens)}
-    from spiketag.data import EmbeddingTable
-
     return EmbeddingTable(dim=dim, vectors=vectors, unk=np.zeros(dim, np.float32))
 
 
@@ -197,8 +322,41 @@ def test_batchify_inference_order_sorts_by_length_and_indexes_rows(toy_corpus, t
             ex = examples[i]
             n = len(ex.tokens)
             assert b.mask[row].sum() == n
-            assert np.array_equal(b.embeddings[row, :n], embed_example(ex, toy_table))
+            expected = np.stack([toy_table.lookup(t) for t in ex.tokens])
+            assert np.array_equal(b.embeddings[row, :n], expected)
             assert b.labels[row, :n].tolist() == [LABEL_TO_ID[lab] for lab in ex.labels]
+
+
+def test_batchify_counts_each_oov_occurrence(tmp_path):
+    table = load_embeddings(write(tmp_path, "emb.txt", "word 1 2\nother 3 4\n"))
+    examples = [Example(["word", "Word", "zzz", "ZZZ"], ["O"] * 4),
+                Example(["OTHER", "zzz"], ["O"] * 2),
+                Example(["oTher"], ["O"])]
+    batches = batchify(examples, table, 2)  # padding is not looked up
+    assert table.oov_tokens == 3
+    emb = {int(i): b.embeddings[row] for b in batches for row, i in enumerate(b.index)}
+    assert emb[0].tolist() == [[1, 2], [1, 2], [2, 3], [2, 3]]
+    assert emb[1].tolist() == [[3, 4], [2, 3]]
+    assert emb[2].tolist() == [[3, 4], [0, 0]]
+    batchify(examples, table, 3, np.random.default_rng(0))
+    assert table.oov_tokens == 6
+
+
+def test_table_built_from_a_dict_batches_like_the_loaded_file(tmp_path, toy_corpus, toy_table):
+    path = tmp_path / "toy.txt"
+    write_embedding_file(toy_table, path)
+    loaded = load_embeddings(str(path))
+    assert list(loaded.vectors) == list(toy_table.vectors)
+    assert loaded.matrix[:-1].tobytes() == toy_table.matrix[:-1].tobytes()
+    examples = toy_corpus[:30] + [Example([t.upper() for t in toy_corpus[0].tokens],
+                                          toy_corpus[0].labels)]
+    for rng_seed in (None, 4):
+        built, read = (batchify(examples, table, 4, rng_seed and np.random.default_rng(rng_seed))
+                       for table in (toy_table, loaded))
+        for x, y in zip(built, read, strict=True):
+            assert np.array_equal(x.index, y.index)
+            assert x.embeddings.tobytes() == y.embeddings.tobytes()
+            assert np.array_equal(x.labels, y.labels) and np.array_equal(x.mask, y.mask)
 
 
 def test_batchify_training_order_is_the_seeded_shuffle(toy_corpus, toy_table):
