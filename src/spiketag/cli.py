@@ -222,7 +222,7 @@ def cmd_inspect(args):
         raise ConfigError("inspect needs a non-empty sentence")
     batch = batchify([Example(tokens, ["O"] * len(tokens))], table, 1)[0]
     _, trace = forward(batch.embeddings, net, net_cfg, mask=batch.mask)
-    final = trace.spk[-1].block  # last spiking layer, (T, 1, R, C)
+    final = trace.spk[-1]  # last spiking layer, (T, 1, R, C)
     pos = (final > 0).sum(axis=(0, 3))[0]
     neg = (final < 0).sum(axis=(0, 3))[0]
     print("token\tpos_spikes\tneg_spikes")

@@ -198,16 +198,21 @@ def load_embeddings(path):
         raise ParseError("embedding file holds no vectors", path=path, line=0)
     matrix = np.empty((len(rows) + 1, dim), dtype=np.float32)
     np.concatenate(blocks, out=matrix[:-1])
-    # unk sums the rows in file order from the first row, as a running total
-    # would: -0.0 is the identity that keeps an all -0.0 column's sign, and a
-    # single column's sum would be pairwise
-    if dim == 1:
-        total = np.cumsum(matrix[:-1, 0], dtype=np.float64)[-1:]
-    else:
-        total = matrix[:-1].sum(axis=0, dtype=np.float64, initial=-0.0)
-    matrix[-1] = total / len(rows)
+    matrix[-1] = mean_vector(matrix[:-1])
     return EmbeddingTable(dim=dim, vectors=dict(zip(rows, matrix)), unk=matrix[-1],
                           duplicate_tokens=duplicates, matrix=matrix)
+
+
+def mean_vector(vectors):
+    """The float32 unk of an (N, dim) stack of float32 vectors: their mean,
+    summed in row order as a running float64 total."""
+    # -0.0 is the identity that keeps an all -0.0 column's sign, and a single
+    # column's sum would be pairwise
+    if vectors.shape[1] == 1:
+        total = np.cumsum(vectors[:, 0], dtype=np.float64)[-1:]
+    else:
+        total = vectors.sum(axis=0, dtype=np.float64, initial=-0.0)
+    return (total / len(vectors)).astype(np.float32)
 
 
 def _width_error(dim, count, path, line_no):
@@ -233,7 +238,8 @@ def _parse_values(pending, dim, path):
         if len(fields) != dim:
             raise _width_error(dim, len(fields), path, line_no)
         try:
-            vec = np.asarray([float(v) for v in fields], dtype=np.float32)
+            with np.errstate(over="ignore"):  # float32 overflow is caught as non-finite
+                vec = np.asarray([float(v) for v in fields], dtype=np.float32)
         except ValueError:
             raise ParseError("non-numeric vector value", path=path, line=line_no)
         if not np.all(np.isfinite(vec)):

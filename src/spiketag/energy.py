@@ -19,9 +19,6 @@ ENERGY_PER_SOP = 77e-15
 ENERGY_PER_FLOP_DNN = 12.5e-12
 ENERGY_PER_SIGN = 3.7e-12
 
-SNN = "snn"
-DNN = "dnn"
-
 
 @dataclass
 class LayerProfile:
@@ -96,15 +93,13 @@ def firing_rate(spikes, mask=None):
     return nonzero / neurons if neurons else 0.0
 
 
-def layer_energy(profile, model=SNN, mode="binary"):
-    """Joules for one layer under the chosen cost model."""
-    if model == DNN or not profile.sop_costed:
-        # dense layers, plus the FLOP-costed encoding and decoder of the SNN
-        return ENERGY_PER_FLOP_DNN * profile.flops
-    energy = ENERGY_PER_SOP * profile.sops
-    if mode == "ternary":
-        energy += ENERGY_PER_SIGN * profile.neg_sops
-    return energy
+def layer_energy(profile):
+    """Joules for one layer: FLOP-costed unless sop_costed, when each SOP
+    costs ENERGY_PER_SOP and each negative one also ENERGY_PER_SIGN (a
+    binary layer has no negative SOPs)."""
+    if not profile.sop_costed:
+        return dnn_energy(profile.flops)
+    return ENERGY_PER_SOP * profile.sops + ENERGY_PER_SIGN * profile.neg_sops
 
 
 def dnn_energy(flops):
@@ -129,7 +124,7 @@ def profile_network(net, batch, cfg) -> EnergyReport:
         cout = layer.kernels.shape[0]
         k = layer.kernels.shape[2]
         fl = flops_conv(cout, cin, mean_len, 1, k, 1)
-        nonzero, negative, neurons = spike_counts(trace.spk[li].block, batch.mask)
+        nonzero, negative, neurons = spike_counts(trace.spk[li], batch.mask)
         gamma = nonzero / neurons if neurons else 0.0
         g_neg = negative / neurons if neurons else 0.0
         prof = LayerProfile(
@@ -140,13 +135,13 @@ def profile_network(net, batch, cfg) -> EnergyReport:
             prof.sop_costed = True
             prof.sops = t * gamma * fl
             prof.neg_sops = t * g_neg * fl
-        prof.energy = layer_energy(prof, SNN, cfg.spike_mode)
+        prof.energy = layer_energy(prof)
         report.layers.append(prof)
 
     out = net[-1]
     fl_out = flops_fc(N_CLASSES, out.kernels.shape[1]) * mean_len * t
     prof = LayerProfile(name="output", kind="fc", flops=fl_out)
-    prof.energy = layer_energy(prof, SNN, cfg.spike_mode)
+    prof.energy = layer_energy(prof)
     report.layers.append(prof)
 
     report.total_flops = sum(lp.flops for lp in report.layers if not lp.sop_costed)

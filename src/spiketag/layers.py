@@ -11,7 +11,9 @@ summed over timesteps into per-token class scores.
 The forward pass runs layer by layer. A layer's drive for all T timesteps
 is one convolution over T*B rows (the encoder's, being the same at every
 step, is computed once); then the LIF recurrence, the only sequential part,
-is scanned over t. Every per-timestep quantity is one (T, B, R, C) block.
+is scanned over t. A layer's spikes are one (T, B, R, C) block, which the
+next layer's conv and the decoder read whole; its current and potential stay
+the T per-step arrays lif_step returned, which only the adjoint scan reads.
 
 When a validity mask is supplied, padded positions have their embeddings and
 emitted spikes zeroed, so a sentence's outputs do not depend on how much
@@ -183,52 +185,31 @@ def weighted_spikes(spk, neuron, mode, mask=None):
     return wspk
 
 
-class StepViews(tuple):
-    """One layer's (T, ...) block seen as T per-timestep arrays.
-
-    views[t] is a view of views.block[t] and is the same object on every
-    access (indexing the block itself makes a new view each time), so a
-    timestep's array can be recognised by identity.
-    """
-
-    def __new__(cls, block):
-        views = super().__new__(cls, block)
-        views.block = block
-        return views
-
-
-def _lif_scan(drive, neuron, cfg, soft, isc=None):
+def _lif_scan(drive, neuron, cfg, soft):
     """Advance one layer's LIF state through t = 1..T, the only sequential part.
 
-    drive is (T, B, R, C); returns a NeuronState of (T, B, R, C) blocks, each
-    step's spikes, current and pre-reset potential written in place. The
-    current goes to `isc` when given, which may be `drive` itself: drive_t is
-    not read again once isc_t exists.
+    drive is (T, B, R, C). Returns a NeuronState whose spk is the (T, B, R, C)
+    spike block, written step by step, and whose isc and v are tuples of the
+    T (B, R, C) currents and pre-reset potentials lif_step returned.
     """
-    t_steps, shape = drive.shape[0], drive.shape[1:]
-    states = NeuronState(
-        spk=np.empty(drive.shape, dtype=drive.dtype),
-        isc=np.empty(drive.shape, dtype=drive.dtype) if isc is None else isc,
-        v=np.empty(drive.shape, dtype=drive.dtype),
-    )
-    state = NeuronState.zeros(shape, drive.dtype)
-    for t in range(t_steps):
-        spk, state = lif_step(
+    spk = np.empty(drive.shape, dtype=drive.dtype)
+    isc, v = [], []
+    state = NeuronState.zeros(drive.shape[1:], drive.dtype)
+    for t in range(drive.shape[0]):
+        spk[t], state = lif_step(
             state, drive[t], neuron, cfg.spike_mode,
             soft=soft, alpha=cfg.alpha, centering=cfg.surrogate_centering,
         )
-        states.spk[t] = spk
-        states.isc[t] = state.isc
-        states.v[t] = state.v
-    return states
+        isc.append(state.isc)
+        v.append(state.v)
+    return NeuronState(spk=spk, isc=tuple(isc), v=tuple(v))
 
 
 def encode_step(embeddings, layer, cfg, soft=False):
     """Run the encoding layer for all T timesteps.
 
     The embeddings are presented unchanged at every step, so the drive is
-    one convolution reused at each t. Returns a NeuronState of (T, B, R, C)
-    blocks.
+    one convolution reused at each t. Returns the NeuronState of _lif_scan.
     """
     if layer.kind != ENCODING:
         raise ConfigError(f"encode_step needs an encoding layer, got {layer.kind!r}")
@@ -242,8 +223,8 @@ def spiking_conv_step(in_spikes, layer, cfg, mask=None, soft=False, checked=Fals
 
     in_spikes is the previous layer's raw (T, B, R, C) spike block and mask
     its (B, R) validity mask. The weighted spikes are convolved in one call
-    over all T*B rows, then the LIF state is scanned over t. Returns a
-    NeuronState of (T, B, R, C) blocks.
+    over all T*B rows, then the LIF state is scanned over t. Returns the
+    NeuronState of _lif_scan.
     """
     if layer.kind != SPIKING_CONV:
         raise ConfigError(
@@ -255,9 +236,8 @@ def spiking_conv_step(in_spikes, layer, cfg, mask=None, soft=False, checked=Fals
     wspk = weighted_spikes(in_spikes, layer.neuron, cfg.spike_mode, mask)
     drive = conv1d_same(wspk.reshape(t_steps * b, r, c), layer.kernels, layer.bias,
                         padding=cfg.padding)
-    del wspk  # freed before the scan allocates this layer's trace blocks
-    drive = drive.reshape(t_steps, b, r, -1)
-    return _lif_scan(drive, layer.neuron, cfg, soft, isc=drive)
+    del wspk  # freed before the scan allocates this layer's states
+    return _lif_scan(drive.reshape(t_steps, b, r, -1), layer.neuron, cfg, soft)
 
 
 def output_logits(in_spikes, layer):
@@ -281,10 +261,11 @@ def output_logits(in_spikes, layer):
 class StateTrace:
     """Everything the backward pass needs from one forward run.
 
-    spk/isc/v hold one StepViews per spiking layer: trace.v[li][t] is
-    layer li's (B, R, C) potential at step t and trace.v[li].block the
-    whole (T, B, R, C) array. spk holds the raw (pre-mask) spike maps.
-    probs_t is the (T, B, R, |Y|) block of per-timestep softmax outputs.
+    spk holds one (T, B, R, C) block of raw (pre-mask) spikes per spiking
+    layer. isc and v hold one tuple per layer of the T (B, R, C) arrays
+    lif_step returned: trace.v[li][t] is layer li's pre-reset potential at
+    step t, the same object on every access. probs_t is the (T, B, R, |Y|)
+    block of per-timestep softmax outputs.
     """
 
     embeddings: np.ndarray
@@ -326,9 +307,9 @@ def forward(batch_embeddings, net, cfg: NetworkConfig, mask=None, soft=False,
         else:
             states = spiking_conv_step(states.spk, layer, cfg, mask=mask, soft=soft,
                                        checked=checked)
-        trace.spk.append(StepViews(states.spk))
-        trace.isc.append(StepViews(states.isc))
-        trace.v.append(StepViews(states.v))
+        trace.spk.append(states.spk)
+        trace.isc.append(states.isc)
+        trace.v.append(states.v)
     x = states.spk if mask is None else states.spk * mask[:, :, None]
     trace.probs_t = softmax3(output_logits(x, net[-1]))
     trace.prob_class = trace.probs_t.sum(axis=0)

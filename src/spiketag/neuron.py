@@ -35,8 +35,9 @@ CENTERINGS = (CENTER_ZERO, CENTER_THRESHOLD)
 class NeuronState:
     """Per-layer (spikes, synaptic current, membrane potential).
 
-    Holds one timestep's arrays inside lif_step, and (T, ...) blocks over all
-    timesteps when a layer returns its whole run.
+    Holds one timestep's arrays inside lif_step. For a layer's whole run
+    (layers._lif_scan) spk is the (T, ...) spike block and isc and v are
+    tuples of the T per-step arrays.
     """
 
     spk: np.ndarray

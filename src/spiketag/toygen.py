@@ -9,7 +9,7 @@ a local model, while the B-versus-I distinction still requires context.
 
 import numpy as np
 
-from .data import EmbeddingTable, Example
+from .data import EmbeddingTable, Example, mean_vector
 
 FILLERS = [
     "the", "a", "we", "i", "it", "was", "is", "and", "but", "with",
@@ -86,7 +86,7 @@ def generate_embeddings(dim, seed, scale=0.3, common=1.0, noise=0.35):
         for tok in group:
             vec = scale * (common * center + noise * rng.normal(0.0, 1.0, size=dim))
             vectors[tok] = vec.astype(np.float32)
-    unk = np.mean(np.stack(list(vectors.values())), axis=0).astype(np.float32)
+    unk = mean_vector(np.stack(list(vectors.values())))
     return EmbeddingTable(dim=dim, vectors=vectors, unk=unk)
 
 

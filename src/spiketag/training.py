@@ -215,7 +215,7 @@ def backward(trace, labels, mask, net, cfg: NetworkConfig, prob_scale=None,
     if mask_col is not None:
         d_logits *= mask_col
     grads[f"{out}.kernels"] += np.tensordot(
-        d_logits, trace.spk[out - 1].block, axes=([0, 1, 2], [0, 1, 2])
+        d_logits, trace.spk[out - 1], axes=([0, 1, 2], [0, 1, 2])
     )
     grads[f"{out}.bias"] += d_logits.sum(axis=(0, 1, 2))
     d_spk = (d_logits.reshape(-1, N_CLASSES) @ out_layer.kernels).reshape(t_steps, b, r, -1)
@@ -226,7 +226,7 @@ def backward(trace, labels, mask, net, cfg: NetworkConfig, prob_scale=None,
         neuron = layer.neuron
         d_drive = _adjoint_scan(trace, li, d_spk, neuron, cfg, grads, mutate)
         grads[f"{li}.bias"] += d_drive.sum(axis=(0, 1, 2))
-        spk_in = trace.spk[li - 1].block
+        spk_in = trace.spk[li - 1]
         wspk = weighted_spikes(spk_in, neuron, mode, trace.mask)
         grads[f"{li}.kernels"] += conv1d_same_kernel_grad(
             wspk.reshape(rows, r, -1), d_drive.reshape(rows, r, -1),

@@ -1,5 +1,7 @@
 import dataclasses
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -382,3 +384,17 @@ def test_an_empty_corpus_is_a_data_error_naming_the_file(capsys, tmp_path, comma
     assert code == 2
     assert "data error" in err and "no sentences" in err and str(empty) in err
     assert "TP\tFP\tFN" not in out and not (tmp_path / "model.ckpt").exists()
+
+
+def test_a_value_overflowing_float32_is_only_a_data_error_on_stderr(tmp_path):
+    # a fresh interpreter, so numpy's warning would reach stderr as a user sees it
+    table = tmp_path / "emb.txt"
+    table.write_text("we 1 2\nloved 1e39 3\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spiketag.cli", "eval", "--data", TOY_CORPUS,
+         "--embeddings", str(table), "--ckpt", str(tmp_path / "model.ckpt")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"data error: {table}:2: non-finite vector value\n"

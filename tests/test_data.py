@@ -19,7 +19,7 @@ from spiketag.data import (
     write_corpus,
 )
 from spiketag.errors import ConfigError, ParseError
-from spiketag.toygen import write_embedding_file
+from spiketag.toygen import generate_embeddings, write_embedding_file
 
 REVIEW1_TOKENS = ["it", "is", "super", "fast", "and", "has", "outstanding",
                   "graphics", "."]
@@ -247,6 +247,17 @@ def test_fixture_table_parses_like_the_line_by_line_parser():
     fixture = os.path.join(os.path.dirname(__file__), "fixtures", "toy_embeddings.txt")
     assert_parses_like_line_by_line(fixture, data.CHUNK_LINES)
     assert_parses_like_line_by_line(fixture, 5)
+
+
+@pytest.mark.parametrize("dim", [1, 16, 300])
+def test_generated_table_has_the_unk_of_its_written_and_loaded_copy(tmp_path, dim):
+    table = generate_embeddings(dim, seed=11)
+    path = tmp_path / "emb.txt"
+    write_embedding_file(table, path)
+    loaded = load_embeddings(path)
+    assert loaded.matrix[:-1].tobytes() == table.matrix[:-1].tobytes()
+    assert loaded.unk.dtype == table.unk.dtype == np.float32
+    assert loaded.unk.tobytes() == table.unk.tobytes()
 
 
 def two_sentence_examples():

@@ -3,8 +3,7 @@ import pytest
 
 from spiketag.data import batchify
 from spiketag.energy import (
-    DNN,
-    SNN,
+    ENERGY_PER_SOP,
     LayerProfile,
     dnn_energy,
     firing_rate,
@@ -72,16 +71,11 @@ def test_dnn_energy_matches_published_rows():
 def test_layer_energy_snn_sop_cost():
     prof = LayerProfile(name="x", kind="conv", flops=0.0, sop_costed=True,
                         sops=1000.0)
-    assert layer_energy(prof, SNN, "binary") == pytest.approx(7.7e-11)
+    assert layer_energy(prof) == pytest.approx(7.7e-11)
     prof.neg_sops = 100.0
-    assert layer_energy(prof, SNN, "ternary") == pytest.approx(
+    assert layer_energy(prof) == pytest.approx(
         7.7e-11 + 3.7e-12 * 100.0
     )
-
-
-def test_layer_energy_dnn():
-    prof = LayerProfile(name="x", kind="fc", flops=0.2580e9)
-    assert layer_energy(prof, DNN) * 1e3 == pytest.approx(3.2250)
 
 
 def toy_profile(mode="ternary", silence=False):
@@ -134,26 +128,24 @@ def test_profile_encoding_and_output_are_flop_costed():
         assert lp.sop_costed
 
 
-def test_binary_energy_never_exceeds_ternary_on_same_profile():
-    report, _ = toy_profile()
+def test_binary_network_pays_no_sign_cost():
+    report, _ = toy_profile(mode="binary")
     for lp in report.layers:
+        assert lp.neg_sops == 0.0
         if lp.sop_costed:
-            b = layer_energy(lp, SNN, "binary")
-            t = layer_energy(lp, SNN, "ternary")
-            assert b <= t
-            if lp.neg_sops > 0:
-                assert b < t
+            assert lp.sops > 0
+            assert lp.energy == ENERGY_PER_SOP * lp.sops
 
 
 def test_energy_monotone_in_gamma_t_flops():
     base = LayerProfile(name="x", kind="conv", flops=1e6, sop_costed=True)
     t, gamma = 6, 0.25
     base.sops = t * gamma * base.flops
-    e0 = layer_energy(base, SNN, "binary")
+    e0 = layer_energy(base)
     for t2, g2, f2 in ((8, 0.25, 1e6), (6, 0.5, 1e6), (6, 0.25, 2e6)):
         other = LayerProfile(name="y", kind="conv", flops=f2, sop_costed=True,
                              sops=t2 * g2 * f2)
-        assert layer_energy(other, SNN, "binary") >= e0
+        assert layer_energy(other) >= e0
 
 
 def test_report_rows_include_total():

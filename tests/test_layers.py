@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import ScalarLIF, conv1d_naive, matvec_naive, softmax_closed_form
+from spiketag import layers
 from spiketag.errors import ConfigError, ValidationError
 from spiketag.layers import (
     ENCODING,
@@ -76,7 +77,7 @@ def test_encoding_reduces_to_scalar_trace():
     for t in range(cfg.time_steps):
         o_spk, o_isc, o_v = oracle.step(kernel * emb_val + 0.05)
         assert states.spk[t, 0, 0, 0] == o_spk
-        assert states.v[t, 0, 0, 0] == pytest.approx(o_v, abs=1e-15)
+        assert states.v[t][0, 0, 0] == pytest.approx(o_v, abs=1e-15)
 
 
 def test_first_step_spikes_equal_thresholded_drive():
@@ -247,6 +248,38 @@ def test_sequence_length_preserved_through_stack():
             assert all(s.shape[1] == r for s in per_layer)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("soft", [False, True])
+def test_trace_keeps_the_arrays_lif_step_returned(monkeypatch, small_net_cfg, soft, dtype):
+    returned = []
+    real_lif_step = layers.lif_step
+
+    def spy(*args, **kwargs):
+        out = real_lif_step(*args, **kwargs)
+        returned.append(out)
+        return out
+
+    monkeypatch.setattr(layers, "lif_step", spy)
+    rng = np.random.default_rng(3)
+    emb = rng.normal(scale=0.5, size=(2, 6, 5)).astype(dtype)
+    mask = np.ones((2, 6), dtype=dtype)
+    mask[1, 4:] = 0.0
+    net = full_net(small_net_cfg, dtype=dtype)
+    _, trace = forward(emb, net, small_net_cfg, mask=mask, soft=soft)
+    t_steps = small_net_cfg.time_steps
+    n_layers = small_net_cfg.n_spiking_conv + 1
+    assert len(returned) == n_layers * t_steps
+    for li in range(n_layers):
+        assert type(trace.spk[li]) is np.ndarray and trace.spk[li].dtype == dtype
+        assert trace.spk[li].shape == (t_steps, 2, 6, small_net_cfg.channels)
+        assert len(trace.isc[li]) == len(trace.v[li]) == t_steps
+        for t in range(t_steps):
+            spk, state = returned[li * t_steps + t]
+            assert np.array_equal(trace.spk[li][t], spk)
+            assert trace.isc[li][t] is state.isc
+            assert trace.v[li][t] is state.v
+
+
 def test_spike_alphabet_everywhere(small_net_cfg, small_net):
     rng = np.random.default_rng(1)
     emb = rng.normal(scale=0.5, size=(2, 5, 5)).astype(np.float32)
@@ -360,9 +393,9 @@ def test_forward_matches_timestep_major_oracle():
         prob, trace = forward(emb, net, cfg, mask=mask)
         spk, isc, v, ref_prob = reference_forward(emb, net, cfg, mask)
         for li in range(len(net) - 1):
-            assert np.array_equal(trace.spk[li].block, spk[li]), (mode, li)
-            assert np.allclose(trace.isc[li].block, isc[li], rtol=0, atol=1e-12), (mode, li)
-            assert np.allclose(trace.v[li].block, v[li], rtol=0, atol=1e-12), (mode, li)
+            assert np.array_equal(trace.spk[li], spk[li]), (mode, li)
+            assert np.allclose(trace.isc[li], isc[li], rtol=0, atol=1e-12), (mode, li)
+            assert np.allclose(trace.v[li], v[li], rtol=0, atol=1e-12), (mode, li)
             assert np.any(spk[li] != 0) and np.any(spk[li] == 0), (mode, li)
         assert np.allclose(prob, ref_prob, rtol=0, atol=1e-12), mode
         if mode == "ternary":

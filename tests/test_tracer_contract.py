@@ -34,7 +34,7 @@ def test_every_tracer_binding_names_a_callable():
 
 def test_backward_passes_spike_grad_the_trace_potentials_deepest_first(monkeypatch):
     # the tracer attributes backward time to a layer by matching spike_grad's
-    # `v` argument, by identity, to trace.v[li][t] (layers.StepViews)
+    # `v` argument, by identity, to trace.v[li][t], the array lif_step returned
     cfg = NetworkConfig(time_steps=3, channels=4, kernel=3, n_spiking_conv=2,
                         embedding_dim=5)
     rng = np.random.default_rng(0)
