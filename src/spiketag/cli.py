@@ -108,6 +108,8 @@ def load_dataset(cfg):
 def cmd_train(args):
     cfg = effective_config(args)
     corpus, table = load_dataset(cfg)
+    if table.dim < 1:
+        raise ParseError("embedding table has width 0", path=cfg.embeddings)
     net_cfg = cfg.network
     if net_cfg.embedding_dim and net_cfg.embedding_dim != table.dim:
         raise ConfigError(

@@ -13,7 +13,10 @@ from .errors import ConfigError, ParseError
 
 LABELS = ("O", "B", "I")
 LABEL_TO_ID = {lab: i for i, lab in enumerate(LABELS)}
-CHUNK_LINES = 2048  # table lines per np.loadtxt call: bounds the parse's memory
+# Table lines per np.loadtxt call. This bounds loadtxt's float64 copy and the
+# pending value text, not the whole parse: every parsed chunk is held until
+# the final concatenate.
+CHUNK_LINES = 2048
 
 
 @dataclass

@@ -290,10 +290,11 @@ def forward(batch_embeddings, net, cfg: NetworkConfig, mask=None, soft=False,
 
     Returns (prob_class, trace) where prob_class[i,j] sums each timestep's
     softmax, so it totals T per token. The trace caches every layer's
-    (spikes, current, potential) per timestep for the backward pass.
+    (spikes, current, potential) per timestep for the backward pass. The
+    forward runs in the network's dtype: the embeddings are cast to it.
     """
     check_network(net)
-    emb = np.asarray(batch_embeddings)
+    emb = np.asarray(batch_embeddings, dtype=net[0].kernels.dtype)
     if emb.ndim != 3:
         raise DimensionError(f"embeddings must be (B, R, E), got {emb.shape}")
     if mask is not None:

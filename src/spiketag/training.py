@@ -137,7 +137,7 @@ def _prob_adjoint(prob, labels, mask, prob_scale):
     return g
 
 
-def _adjoint_scan(trace, li, d_spk, neuron, cfg, grads, mutate):
+def _adjoint_scan(trace, li, d_spk, neuron, cfg, grads):
     """Run layer li's LIF adjoint backwards through t; returns dL/ddrive.
 
     d_spk is the (T, B, R, C) adjoint arriving at the layer's raw spikes.
@@ -156,18 +156,8 @@ def _adjoint_scan(trace, li, d_spk, neuron, cfg, grads, mutate):
                             cfg.surrogate_centering)
         d_v = g_surr * d_s
         if d_v_next is not None:
-            reset = 1.0 - np.abs(spk[t])
-            if mutate == "drop_reset_factor":
-                reset = np.ones_like(reset)
-            d_v = d_v + neuron.w_vd * reset * d_v_next
-
-        if mutate == "isc_subscript_off_by_one":
-            # the temporal-current recursion seeded from dL/dv_{t+1}
-            d_isc = np.zeros_like(d_v) if d_v_next is None else d_v_next
-        else:
-            d_isc = d_v
-        if d_isc_next is not None:
-            d_isc = d_isc + neuron.w_scd * d_isc_next
+            d_v = d_v + neuron.w_vd * (1.0 - np.abs(spk[t])) * d_v_next
+        d_isc = d_v if d_isc_next is None else d_v + neuron.w_scd * d_isc_next
 
         if t > 0:
             grads[f"{li}.w_scd"] += (isc[t - 1] * d_isc).sum(axis=(0, 1))
@@ -181,16 +171,12 @@ def _adjoint_scan(trace, li, d_spk, neuron, cfg, grads, mutate):
     return d_spk
 
 
-def backward(trace, labels, mask, net, cfg: NetworkConfig, prob_scale=None,
-             mutate=None):
+def backward(trace, labels, mask, net, cfg: NetworkConfig, prob_scale=None):
     """Gradients of the batch loss for every trainable parameter.
 
     trace must come from forward() on the same batch and parameters. Layers
     are visited deepest first: an elementwise adjoint scan over t, then one
     kernel-gradient and one input-gradient convolution over all T*B rows.
-    The `mutate` switch deliberately corrupts one named term so tests can
-    prove the finite-difference check catches a wrong formula; it is never
-    set in production paths.
     """
     if trace.prob_class is None or len(trace.probs_t) != cfg.time_steps:
         raise ConfigError("trace does not match the configured time_steps")
@@ -224,7 +210,7 @@ def backward(trace, labels, mask, net, cfg: NetworkConfig, prob_scale=None,
     for li in range(len(spiking) - 1, 0, -1):
         layer = spiking[li]
         neuron = layer.neuron
-        d_drive = _adjoint_scan(trace, li, d_spk, neuron, cfg, grads, mutate)
+        d_drive = _adjoint_scan(trace, li, d_spk, neuron, cfg, grads)
         grads[f"{li}.bias"] += d_drive.sum(axis=(0, 1, 2))
         spk_in = trace.spk[li - 1]
         wspk = weighted_spikes(spk_in, neuron, mode, trace.mask)
@@ -251,7 +237,7 @@ def backward(trace, labels, mask, net, cfg: NetworkConfig, prob_scale=None,
 
     # encoder: its drive is the same at every t, so its kernels see sum_t dL/ddrive_t
     enc = spiking[0]
-    d_drive = _adjoint_scan(trace, 0, d_spk, enc.neuron, cfg, grads, mutate)
+    d_drive = _adjoint_scan(trace, 0, d_spk, enc.neuron, cfg, grads)
     grads["0.bias"] += d_drive.sum(axis=(0, 1, 2))
     grads["0.kernels"] += conv1d_same_kernel_grad(
         trace.embeddings, d_drive.sum(axis=0), enc.kernels.shape[2], padding=cfg.padding
@@ -331,6 +317,8 @@ def train(train_examples, val_examples, table, net_cfg: NetworkConfig,
     net_cfg.validate()
     if not train_examples:
         raise ConfigError("training set is empty")
+    if not val_examples:
+        raise ConfigError("validation set is empty")
     if net is None:
         init_rng = np.random.default_rng([cfg.seed, 1])
         net = init_network(net_cfg, init_rng, dtype=np.float32)
@@ -390,8 +378,6 @@ def evaluate(examples, table, net, net_cfg, batch_size=8):
     """
     from .metrics import extract_spans, span_f1
 
-    if not examples:
-        return 1.0, 1.0, 1.0, 0, 0, 0
     gold_spans = []
     pred_spans = []
     for sent, pred in predict(examples, table, net, net_cfg, batch_size):
@@ -408,7 +394,7 @@ def tiny_gradcheck_config(mode=TERNARY, centering="zero"):
     )
 
 
-def grad_check(net_cfg: NetworkConfig, seed=0, h=1e-5, mutate=None):
+def grad_check(net_cfg: NetworkConfig, seed=0, h=1e-5):
     """Max relative error between analytic and central-difference gradients.
 
     Runs the soft-spike forward in float64 on a single random three-token
@@ -427,7 +413,7 @@ def grad_check(net_cfg: NetworkConfig, seed=0, h=1e-5, mutate=None):
         return cross_entropy(prob, labels, mask)
 
     prob, trace = forward(emb, net, net_cfg, mask=mask, soft=True)
-    grads = backward(trace, labels, mask, net, net_cfg, mutate=mutate)
+    grads = backward(trace, labels, mask, net, net_cfg)
 
     max_rel = 0.0
     for name, p in named_parameters(net).items():

@@ -386,6 +386,23 @@ def test_an_empty_corpus_is_a_data_error_naming_the_file(capsys, tmp_path, comma
     assert "TP\tFP\tFN" not in out and not (tmp_path / "model.ckpt").exists()
 
 
+def test_train_refuses_an_empty_validation_set(capsys, tmp_path):
+    code, _, err = run(capsys, "train", "--config", small_config(tmp_path, val_size=0))
+    assert code == 1
+    assert "validation set is empty" in err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_train_on_a_zero_width_table_is_a_data_error_naming_it(capsys, tmp_path):
+    table = tmp_path / "emb.txt"
+    table.write_text("3 0\nwe\nloved\nit\n")
+    code, _, err = run(capsys, "train", "--config", small_config(tmp_path),
+                       "--embeddings", str(table))
+    assert code == 2
+    assert "data error" in err and str(table) in err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 def test_a_value_overflowing_float32_is_only_a_data_error_on_stderr(tmp_path):
     # a fresh interpreter, so numpy's warning would reach stderr as a user sees it
     table = tmp_path / "emb.txt"

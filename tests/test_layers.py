@@ -248,9 +248,9 @@ def test_sequence_length_preserved_through_stack():
             assert all(s.shape[1] == r for s in per_layer)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("soft", [False, True])
-def test_trace_keeps_the_arrays_lif_step_returned(monkeypatch, small_net_cfg, soft, dtype):
+@pytest.fixture
+def lif_step_returns(monkeypatch):
+    """Every (spikes, state) pair layers.lif_step returns, in call order."""
     returned = []
     real_lif_step = layers.lif_step
 
@@ -260,6 +260,13 @@ def test_trace_keeps_the_arrays_lif_step_returned(monkeypatch, small_net_cfg, so
         return out
 
     monkeypatch.setattr(layers, "lif_step", spy)
+    return returned
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("soft", [False, True])
+def test_trace_keeps_the_arrays_lif_step_returned(lif_step_returns, small_net_cfg, soft,
+                                                  dtype):
     rng = np.random.default_rng(3)
     emb = rng.normal(scale=0.5, size=(2, 6, 5)).astype(dtype)
     mask = np.ones((2, 6), dtype=dtype)
@@ -268,16 +275,30 @@ def test_trace_keeps_the_arrays_lif_step_returned(monkeypatch, small_net_cfg, so
     _, trace = forward(emb, net, small_net_cfg, mask=mask, soft=soft)
     t_steps = small_net_cfg.time_steps
     n_layers = small_net_cfg.n_spiking_conv + 1
-    assert len(returned) == n_layers * t_steps
+    assert len(lif_step_returns) == n_layers * t_steps
     for li in range(n_layers):
         assert type(trace.spk[li]) is np.ndarray and trace.spk[li].dtype == dtype
         assert trace.spk[li].shape == (t_steps, 2, 6, small_net_cfg.channels)
         assert len(trace.isc[li]) == len(trace.v[li]) == t_steps
         for t in range(t_steps):
-            spk, state = returned[li * t_steps + t]
+            spk, state = lif_step_returns[li * t_steps + t]
             assert np.array_equal(trace.spk[li][t], spk)
             assert trace.isc[li][t] is state.isc
             assert trace.v[li][t] is state.v
+
+
+def test_forward_runs_in_the_networks_dtype(lif_step_returns, small_net_cfg):
+    rng = np.random.default_rng(4)
+    emb = rng.normal(scale=0.5, size=(2, 6, 5)).astype(np.float32)
+    net = full_net(small_net_cfg, dtype=np.float64)
+    _, trace = forward(emb, net, small_net_cfg, soft=True)
+    t_steps = small_net_cfg.time_steps
+    for li in range(small_net_cfg.n_spiking_conv + 1):
+        assert trace.spk[li].dtype == np.float64
+        for t in range(t_steps):
+            assert trace.isc[li][t].dtype == trace.v[li][t].dtype == np.float64
+            spk, _ = lif_step_returns[li * t_steps + t]
+            assert np.array_equal(trace.spk[li][t], spk)
 
 
 def test_spike_alphabet_everywhere(small_net_cfg, small_net):

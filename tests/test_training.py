@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from spiketag import training
 from spiketag.data import split_validation
 from spiketag.errors import NumericError
 from spiketag.layers import NetworkConfig, forward, init_network
@@ -322,10 +323,13 @@ def test_training_is_seed_deterministic(toy_corpus, toy_table):
     assert rows1 == rows2
 
 
+def test_evaluate_scores_no_examples_as_vacuously_perfect(toy_table, small_net_cfg):
+    net = init_network(small_net_cfg, np.random.default_rng(0), dtype=np.float32)
+    assert evaluate([], toy_table, net, small_net_cfg) == (1.0, 1.0, 1.0, 0, 0, 0)
+
+
 def test_evaluate_drops_each_trace_before_the_next_forward(monkeypatch, toy_corpus,
                                                            toy_table):
-    from spiketag import training
-
     net_cfg = NetworkConfig(embedding_dim=16, channels=4, n_spiking_conv=1,
                             time_steps=3)
     net = init_network(net_cfg, np.random.default_rng(0), dtype=np.float32)
@@ -352,7 +356,24 @@ def test_grad_check_all_modes_and_centerings():
             assert err < 1e-4, (mode, centering, err)
 
 
-def test_grad_check_catches_corrupted_formulas():
-    cfg = tiny_gradcheck_config("ternary", "zero")
-    for mutate in ("isc_subscript_off_by_one", "drop_reset_factor"):
-        assert grad_check(cfg, seed=0, mutate=mutate) > 1e-2
+def test_grad_check_catches_corrupted_formulas(monkeypatch):
+    real_forward = training.forward
+    real_spike_grad = training.spike_grad
+
+    def current_one_step_late(*args, **kwargs):
+        prob, trace = real_forward(*args, **kwargs)
+        for li, isc in enumerate(trace.isc):
+            trace.isc[li] = (np.zeros_like(isc[0]),) + isc[:-1]
+        return prob, trace
+
+    for mode in ("binary", "ternary"):
+        for centering in ("zero", "threshold"):
+            cfg = tiny_gradcheck_config(mode, centering)
+            with monkeypatch.context() as patch:
+                # the w_scd gradient then reads the current at t-2
+                patch.setattr(training, "forward", current_one_step_late)
+                assert grad_check(cfg, seed=0) > 1e-2, (mode, centering)
+            with monkeypatch.context() as patch:
+                patch.setattr(training, "spike_grad",
+                              lambda *args: 1.01 * real_spike_grad(*args))
+                assert grad_check(cfg, seed=0) > 1e-2, (mode, centering)
