@@ -122,12 +122,16 @@ def cmd_train(args):
     out_dir = cfg.out or "."
     os.makedirs(out_dir, exist_ok=True)
     log_path = os.path.join(out_dir, "train.log")
-    with open(log_path, "w", encoding="utf-8") as log_fh:
-        def log_fn(row):
-            print(row)
-            log_fh.write(row + "\n")
+    log_mode = "w"  # the first epoch's row replaces a previous run's log
 
-        result = train(train_set, val_set, table, net_cfg, train_cfg, log_fn=log_fn)
+    def log_fn(row):
+        nonlocal log_mode
+        print(row)
+        with open(log_path, log_mode, encoding="utf-8") as log_fh:
+            log_fh.write(row + "\n")
+        log_mode = "a"
+
+    result = train(train_set, val_set, table, net_cfg, train_cfg, log_fn=log_fn)
     ckpt_path = cfg.ckpt or os.path.join(out_dir, "model.ckpt")
     meta = {"epoch": result.best_epoch, "val_f1": result.best_f1,
             "seed": train_cfg.seed}

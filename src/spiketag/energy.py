@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import ENCODING, N_CLASSES, forward
+from .layers import N_CLASSES, forward
 
 ENERGY_PER_SOP = 77e-15
 ENERGY_PER_FLOP_DNN = 12.5e-12
@@ -87,12 +87,6 @@ def spike_counts(spikes, mask=None):
     return float((nonzero * mask).sum()), float((negative * mask).sum()), neurons
 
 
-def firing_rate(spikes, mask=None):
-    """Fraction of neuron-timesteps with a nonzero spike; -1 spikes count."""
-    nonzero, _, neurons = spike_counts(spikes, mask)
-    return nonzero / neurons if neurons else 0.0
-
-
 def layer_energy(profile):
     """Joules for one layer: FLOP-costed unless sop_costed, when each SOP
     costs ENERGY_PER_SOP and each negative one also ENERGY_PER_SIGN (a
@@ -120,18 +114,16 @@ def profile_network(net, batch, cfg) -> EnergyReport:
     report = EnergyReport()
 
     for li, layer in enumerate(net[:-1]):
-        cin = layer.kernels.shape[1]
-        cout = layer.kernels.shape[0]
-        k = layer.kernels.shape[2]
+        cout, cin, k = layer.kernels.shape
         fl = flops_conv(cout, cin, mean_len, 1, k, 1)
         nonzero, negative, neurons = spike_counts(trace.spk[li], batch.mask)
         gamma = nonzero / neurons if neurons else 0.0
         g_neg = negative / neurons if neurons else 0.0
         prof = LayerProfile(
-            name=f"{layer.kind}{li}", kind="conv", flops=fl,
+            name=f"spiking_conv{li}" if li else "encoding0", kind="conv", flops=fl,
             gamma=gamma, gamma_neg=g_neg, neg_spike_count=int(negative),
         )
-        if layer.kind != ENCODING:
+        if li > 0:  # the encoder's input is analog, so it stays FLOP-costed
             prof.sop_costed = True
             prof.sops = t * gamma * fl
             prof.neg_sops = t * g_neg * fl

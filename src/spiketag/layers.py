@@ -37,10 +37,6 @@ from .neuron import (
 )
 from .tensorops import conv1d_same
 
-ENCODING = "encoding"
-SPIKING_CONV = "spiking_conv"
-OUTPUT = "output"
-
 N_CLASSES = 3  # O, B, I
 
 
@@ -88,14 +84,13 @@ class NetworkConfig:
 
 @dataclass
 class LayerParams:
-    """Named parameter set for one layer.
+    """Named parameter set for one layer; its role is its position in the network.
 
-    kernels is (Cout, Cin, K) for conv kinds and (|Y|, C) for the output
-    decoder; neuron is absent for the output kind. The encoding layer's drive
-    is the raw conv output, so it carries no postsynaptic spike weights.
+    kernels is (Cout, Cin, K) for the encoder and the spiking convs and (|Y|, C)
+    for the output decoder, which has no neuron. The encoder's drive is the raw
+    conv output, so its neuron carries no postsynaptic spike weights.
     """
 
-    kind: str
     kernels: np.ndarray
     bias: np.ndarray
     neuron: NeuronParams | None = None
@@ -123,12 +118,10 @@ def init_network(cfg: NetworkConfig, rng, dtype=np.float32):
             w_vd=np.full(c, cfg.decay_init, dtype=dtype),
             w_fv_pos=np.asarray(1.0, dtype=dtype) if with_fv else None,
             w_fv_neg=np.asarray(1.0, dtype=dtype) if with_fv else None,
-            v_thr=cfg.v_thr,
         )
 
     net = [
         LayerParams(
-            kind=ENCODING,
             kernels=glorot_uniform(rng, (c, e, k), e * k, c * k, dtype),
             bias=np.zeros(c, dtype=dtype),
             neuron=neuron(with_fv=False),
@@ -137,7 +130,6 @@ def init_network(cfg: NetworkConfig, rng, dtype=np.float32):
     for _ in range(cfg.n_spiking_conv):
         net.append(
             LayerParams(
-                kind=SPIKING_CONV,
                 kernels=glorot_uniform(rng, (c, c, k), c * k, c * k, dtype),
                 bias=np.zeros(c, dtype=dtype),
                 neuron=neuron(with_fv=True),
@@ -145,21 +137,12 @@ def init_network(cfg: NetworkConfig, rng, dtype=np.float32):
         )
     net.append(
         LayerParams(
-            kind=OUTPUT,
             kernels=glorot_uniform(rng, (N_CLASSES, c), c, N_CLASSES, dtype),
             bias=np.zeros(N_CLASSES, dtype=dtype),
             neuron=None,
         )
     )
     return net
-
-
-def check_network(net):
-    if len(net) < 3 or net[0].kind != ENCODING or net[-1].kind != OUTPUT:
-        raise ConfigError("network must be [encoding, spiking_conv*, output]")
-    for layer in net[1:-1]:
-        if layer.kind != SPIKING_CONV:
-            raise ConfigError(f"unexpected inner layer kind {layer.kind!r}")
 
 
 def validate_spike_alphabet(spikes, mode):
@@ -197,8 +180,8 @@ def _lif_scan(drive, neuron, cfg, soft):
     state = NeuronState.zeros(drive.shape[1:], drive.dtype)
     for t in range(drive.shape[0]):
         spk[t], state = lif_step(
-            state, drive[t], neuron, cfg.spike_mode,
-            soft=soft, alpha=cfg.alpha, centering=cfg.surrogate_centering,
+            state, drive[t], neuron, cfg.spike_mode, soft=soft, alpha=cfg.alpha,
+            v_thr=cfg.v_thr, centering=cfg.surrogate_centering,
         )
         isc.append(state.isc)
         v.append(state.v)
@@ -211,8 +194,6 @@ def encode_step(embeddings, layer, cfg, soft=False):
     The embeddings are presented unchanged at every step, so the drive is
     one convolution reused at each t. Returns the NeuronState of _lif_scan.
     """
-    if layer.kind != ENCODING:
-        raise ConfigError(f"encode_step needs an encoding layer, got {layer.kind!r}")
     drive = conv1d_same(embeddings, layer.kernels, layer.bias, padding=cfg.padding)
     drive = np.broadcast_to(drive, (cfg.time_steps,) + drive.shape)
     return _lif_scan(drive, layer.neuron, cfg, soft)
@@ -226,10 +207,6 @@ def spiking_conv_step(in_spikes, layer, cfg, mask=None, soft=False, checked=Fals
     over all T*B rows, then the LIF state is scanned over t. Returns the
     NeuronState of _lif_scan.
     """
-    if layer.kind != SPIKING_CONV:
-        raise ConfigError(
-            f"spiking_conv_step needs a spiking_conv layer, got {layer.kind!r}"
-        )
     if checked and not soft:
         validate_spike_alphabet(in_spikes, cfg.spike_mode)
     t_steps, b, r, c = in_spikes.shape
@@ -245,8 +222,6 @@ def output_logits(in_spikes, layer):
 
     in_spikes is (..., C); all leading axes are decoded as one GEMM.
     """
-    if layer.kind != OUTPUT:
-        raise ConfigError(f"output_logits needs an output layer, got {layer.kind!r}")
     in_spikes = np.asarray(in_spikes)
     n_out, c = layer.kernels.shape
     if in_spikes.shape[-1] != c:
@@ -292,8 +267,12 @@ def forward(batch_embeddings, net, cfg: NetworkConfig, mask=None, soft=False,
     softmax, so it totals T per token. The trace caches every layer's
     (spikes, current, potential) per timestep for the backward pass. The
     forward runs in the network's dtype: the embeddings are cast to it.
+    net must hold cfg.n_spiking_conv + 2 layers.
     """
-    check_network(net)
+    if len(net) != cfg.n_spiking_conv + 2:
+        raise ConfigError(
+            f"network has {len(net)} layers, config needs {cfg.n_spiking_conv + 2}"
+        )
     emb = np.asarray(batch_embeddings, dtype=net[0].kernels.dtype)
     if emb.ndim != 3:
         raise DimensionError(f"embeddings must be (B, R, E), got {emb.shape}")
@@ -302,16 +281,18 @@ def forward(batch_embeddings, net, cfg: NetworkConfig, mask=None, soft=False,
         emb = emb * mask[:, :, None]
 
     trace = StateTrace(embeddings=emb, mask=mask, soft=soft)
-    for layer in net[:-1]:
-        if layer.kind == ENCODING:
-            states = encode_step(emb, layer, cfg, soft=soft)
-        else:
-            states = spiking_conv_step(states.spk, layer, cfg, mask=mask, soft=soft,
-                                       checked=checked)
+
+    def keep(states):
         trace.spk.append(states.spk)
         trace.isc.append(states.isc)
         trace.v.append(states.v)
-    x = states.spk if mask is None else states.spk * mask[:, :, None]
+        return states.spk
+
+    spk = keep(encode_step(emb, net[0], cfg, soft=soft))
+    for layer in net[1:-1]:
+        spk = keep(spiking_conv_step(spk, layer, cfg, mask=mask, soft=soft,
+                                     checked=checked))
+    x = spk if mask is None else spk * mask[:, :, None]
     trace.probs_t = softmax3(output_logits(x, net[-1]))
     trace.prob_class = trace.probs_t.sum(axis=0)
     return trace.prob_class, trace

@@ -55,7 +55,7 @@ class NeuronState:
 
 @dataclass
 class NeuronParams:
-    """Trainable neuron parameters for one layer.
+    """Trained neuron arrays for one layer; the firing threshold is the config's.
 
     w_scd/w_vd are per-channel decay weights (broadcast over batch and
     sequence); w_fv_pos/w_fv_neg are the scalar postsynaptic weights applied
@@ -67,7 +67,6 @@ class NeuronParams:
     w_vd: np.ndarray
     w_fv_pos: np.ndarray | None = None
     w_fv_neg: np.ndarray | None = None
-    v_thr: float = 0.1
 
 
 def heaviside(v):
@@ -136,10 +135,11 @@ def spike_grad(v, mode, alpha, v_thr, centering):
 
 
 def lif_step(prev, input_psp, params, mode=BINARY, soft=False, alpha=2.0,
-             centering=CENTER_ZERO):
+             v_thr=0.1, centering=CENTER_ZERO):
     """One update/fire/reset cycle.
 
-    input_psp is the already-weighted postsynaptic drive. Returns
+    input_psp is the already-weighted postsynaptic drive. v_thr is the firing
+    threshold (+/-v_thr in ternary mode), alpha the soft-spike sharpness. Returns
     (spikes, next_state); next_state stores the pre-reset membrane potential,
     the reset taking effect at the following step via (1 - |spk|).
     """
@@ -151,9 +151,9 @@ def lif_step(prev, input_psp, params, mode=BINARY, soft=False, alpha=2.0,
     isc = params.w_scd * prev.isc + input_psp
     v = params.w_vd * prev.v * (1.0 - np.abs(prev.spk)) + isc
     if soft:
-        spk = soft_spike(v, mode, alpha, params.v_thr, centering)
+        spk = soft_spike(v, mode, alpha, v_thr, centering)
     elif mode == TERNARY:
-        spk = ternary_threshold(v, params.v_thr)
+        spk = ternary_threshold(v, v_thr)
     else:
-        spk = heaviside(v - params.v_thr)
+        spk = heaviside(v - v_thr)
     return spk, NeuronState(spk=spk, isc=isc, v=v)

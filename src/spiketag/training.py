@@ -55,6 +55,8 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def validate(self):
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate < 0:
@@ -152,7 +154,7 @@ def _adjoint_scan(trace, li, d_spk, neuron, cfg, grads):
         if trace.soft and d_v_next is not None:
             # reset factor (1 - |spk_t|) varies smoothly with v in soft mode
             d_s = d_s - neuron.w_vd * v[t] * np.sign(spk[t]) * d_v_next
-        g_surr = spike_grad(v[t], cfg.spike_mode, cfg.alpha, neuron.v_thr,
+        g_surr = spike_grad(v[t], cfg.spike_mode, cfg.alpha, cfg.v_thr,
                             cfg.surrogate_centering)
         d_v = g_surr * d_s
         if d_v_next is not None:

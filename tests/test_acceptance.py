@@ -68,14 +68,12 @@ def test_c2_lif_oracle_equivalence():
             w_vd = float(rng.uniform(-0.8, 1.1))
             v_thr = float(rng.uniform(0.02, 0.6))
             drives = rng.normal(scale=0.6, size=t_steps)
-            params = NeuronParams(
-                w_scd=np.asarray([w_scd]), w_vd=np.asarray([w_vd]), v_thr=v_thr
-            )
+            params = NeuronParams(w_scd=np.asarray([w_scd]), w_vd=np.asarray([w_vd]))
             oracle = ScalarLIF(w_scd, w_vd, v_thr, mode)
             state = NeuronState.zeros((1,), dtype=np.float64)
             for t in range(t_steps):
                 o_spk, o_isc, o_v = oracle.step(float(drives[t]))
-                spk, state = lif_step(state, drives[t : t + 1], params, mode)
+                spk, state = lif_step(state, drives[t : t + 1], params, mode, v_thr=v_thr)
                 assert spk[0] == o_spk and state.isc[0] == o_isc and state.v[0] == o_v
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0

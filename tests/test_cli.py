@@ -393,6 +393,19 @@ def test_train_refuses_an_empty_validation_set(capsys, tmp_path):
     assert not (tmp_path / "model.ckpt").exists()
 
 
+@pytest.mark.parametrize("refused", [{"epochs": 0}, {"epochs": -3}, {"val_size": 0}])
+def test_a_refused_train_leaves_the_previous_run_untouched(capsys, tmp_path, refused):
+    code, _, err = run(capsys, "train", "--config", small_config(tmp_path))
+    assert code == 0, err
+    before = {name: (tmp_path / name).read_bytes() for name in ("model.ckpt", "train.log")}
+    assert all(before.values())
+
+    code, _, err = run(capsys, "train", "--config", small_config(tmp_path, **refused))
+    assert code == 1
+    assert "configuration error" in err
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before
+
+
 def test_train_on_a_zero_width_table_is_a_data_error_naming_it(capsys, tmp_path):
     table = tmp_path / "emb.txt"
     table.write_text("3 0\nwe\nloved\nit\n")

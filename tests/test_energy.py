@@ -6,11 +6,11 @@ from spiketag.energy import (
     ENERGY_PER_SOP,
     LayerProfile,
     dnn_energy,
-    firing_rate,
     flops_conv,
     flops_fc,
     layer_energy,
     profile_network,
+    spike_counts,
 )
 from spiketag.layers import NetworkConfig, init_network
 
@@ -39,26 +39,31 @@ def test_flops_fc_cases():
     assert flops_fc(3, 128) == 768
 
 
+# the firing rate gamma is nonzero / neurons of spike_counts
 def test_firing_rate_silent_and_saturated():
     t = 6
     silent = [np.zeros((1, 2, 3)) for _ in range(t)]
-    assert firing_rate(silent) == 0.0
+    nonzero, _, neurons = spike_counts(silent)
+    assert nonzero == 0.0 and neurons == 36.0
     full = [np.ones((1, 2, 3)) for _ in range(t)]
-    assert firing_rate(full) == 1.0
+    nonzero, _, neurons = spike_counts(full)
+    assert nonzero / neurons == 1.0
 
 
 def test_firing_rate_counts_negative_spikes():
     t = 6
     trace = [np.full((1, 1, 1), -1.0) if i < 3 else np.zeros((1, 1, 1))
              for i in range(t)]
-    assert firing_rate(trace) == pytest.approx(0.5)
+    nonzero, _, neurons = spike_counts(trace)
+    assert nonzero / neurons == pytest.approx(0.5)
 
 
 def test_firing_rate_respects_mask():
     t = 2
     spk = np.asarray([[[1.0], [1.0]]])
     mask = np.asarray([[1.0, 0.0]])
-    assert firing_rate([spk] * t, mask) == 1.0
+    nonzero, _, neurons = spike_counts([spk] * t, mask)
+    assert nonzero / neurons == 1.0
 
 
 def test_dnn_energy_matches_published_rows():
@@ -126,6 +131,13 @@ def test_profile_encoding_and_output_are_flop_costed():
     assert report.layers[0].sops == 0.0
     for lp in report.layers[1:-1]:
         assert lp.sop_costed
+
+
+def test_profile_names_layers_by_position():
+    # which layers are SOP-costed is test_profile_encoding_and_output_are_flop_costed
+    report, cfg = toy_profile()
+    convs = [f"spiking_conv{li}" for li in range(1, cfg.n_spiking_conv + 1)]
+    assert [lp.name for lp in report.layers] == ["encoding0"] + convs + ["output"]
 
 
 def test_binary_network_pays_no_sign_cost():

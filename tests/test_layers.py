@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,7 @@ from oracles import ScalarLIF, conv1d_naive, matvec_naive, softmax_closed_form
 from spiketag import layers
 from spiketag.errors import ConfigError, ValidationError
 from spiketag.layers import (
-    ENCODING,
     N_CLASSES,
-    OUTPUT,
-    SPIKING_CONV,
     LayerParams,
     NetworkConfig,
     encode_step,
@@ -18,18 +17,15 @@ from spiketag.layers import (
     spiking_conv_step,
     weighted_spikes,
 )
-from spiketag.neuron import NeuronParams
+from spiketag.neuron import NeuronParams, ternary_threshold
 from spiketag.tensorops import conv1d_same
 
 
-def make_encoding_layer(c, e, k, rng, decay=0.1, v_thr=0.1, bias=None):
+def make_encoding_layer(c, e, k, rng, decay=0.1, bias=None):
     return LayerParams(
-        kind=ENCODING,
         kernels=rng.normal(size=(c, e, k)),
         bias=np.zeros(c) if bias is None else bias,
-        neuron=NeuronParams(
-            w_scd=np.full(c, decay), w_vd=np.full(c, decay), v_thr=v_thr
-        ),
+        neuron=NeuronParams(w_scd=np.full(c, decay), w_vd=np.full(c, decay)),
     )
 
 
@@ -66,10 +62,9 @@ def test_encoding_reduces_to_scalar_trace():
     kernel = 0.7
     emb_val = 0.9
     layer = LayerParams(
-        kind=ENCODING,
         kernels=np.full((1, 1, 1), kernel),
         bias=np.asarray([0.05]),
-        neuron=NeuronParams(w_scd=np.asarray([0.3]), w_vd=np.asarray([0.4]), v_thr=0.1),
+        neuron=NeuronParams(w_scd=np.asarray([0.3]), w_vd=np.asarray([0.4])),
     )
     oracle = ScalarLIF(0.3, 0.4, 0.1, "binary")
     emb = np.full((1, 1, 1), emb_val)
@@ -96,12 +91,11 @@ def test_spiking_conv_zero_in_zero_out():
     cfg = NetworkConfig(embedding_dim=2, channels=2, kernel=3, n_spiking_conv=1,
                         time_steps=3, spike_mode="ternary")
     layer = LayerParams(
-        kind=SPIKING_CONV,
         kernels=rng.normal(size=(2, 2, 3)),
         bias=np.zeros(2),
         neuron=NeuronParams(
             w_scd=np.full(2, 0.1), w_vd=np.full(2, 0.1),
-            w_fv_pos=np.asarray(1.0), w_fv_neg=np.asarray(1.0), v_thr=0.1,
+            w_fv_pos=np.asarray(1.0), w_fv_neg=np.asarray(1.0),
         ),
     )
     states = spiking_conv_step(np.zeros((cfg.time_steps, 1, 4, 2)), layer, cfg)
@@ -125,7 +119,7 @@ def test_equal_weight_ternary_collapses_to_binary_formula():
     spikes = rng.integers(-1, 2, size=(2, 6, 3)).astype(np.float64)
     neuron = NeuronParams(
         w_scd=np.full(3, 0.1), w_vd=np.full(3, 0.1),
-        w_fv_pos=np.asarray(0.37), w_fv_neg=np.asarray(0.37), v_thr=0.1,
+        w_fv_pos=np.asarray(0.37), w_fv_neg=np.asarray(0.37),
     )
     ternary = weighted_spikes(spikes, neuron, "ternary")
     binary_formula = weighted_spikes(spikes, neuron, "binary")
@@ -137,11 +131,11 @@ def test_binary_mode_ignores_negative_postsynaptic_weight():
     spikes = rng.integers(0, 2, size=(1, 5, 2)).astype(np.float64)
     neuron_a = NeuronParams(
         w_scd=np.full(2, 0.1), w_vd=np.full(2, 0.1),
-        w_fv_pos=np.asarray(0.8), w_fv_neg=np.asarray(0.2), v_thr=0.1,
+        w_fv_pos=np.asarray(0.8), w_fv_neg=np.asarray(0.2),
     )
     neuron_b = NeuronParams(
         w_scd=np.full(2, 0.1), w_vd=np.full(2, 0.1),
-        w_fv_pos=np.asarray(0.8), w_fv_neg=np.asarray(-55.0), v_thr=0.1,
+        w_fv_pos=np.asarray(0.8), w_fv_neg=np.asarray(-55.0),
     )
     assert np.array_equal(
         weighted_spikes(spikes, neuron_a, "binary"),
@@ -154,12 +148,11 @@ def test_spike_alphabet_validation():
                         spike_mode="binary")
     rng = np.random.default_rng(0)
     layer = LayerParams(
-        kind=SPIKING_CONV,
         kernels=rng.normal(size=(2, 2, 3)),
         bias=np.zeros(2),
         neuron=NeuronParams(
             w_scd=np.full(2, 0.1), w_vd=np.full(2, 0.1),
-            w_fv_pos=np.asarray(1.0), w_fv_neg=np.asarray(1.0), v_thr=0.1,
+            w_fv_pos=np.asarray(1.0), w_fv_neg=np.asarray(1.0),
         ),
     )
     bad = np.full((cfg.time_steps, 1, 3, 2), 0.5)
@@ -169,12 +162,11 @@ def test_spike_alphabet_validation():
 
 def test_output_logits_cases():
     rng = np.random.default_rng(2)
-    layer = LayerParams(kind=OUTPUT, kernels=rng.normal(size=(3, 4)),
-                        bias=rng.normal(size=3))
+    layer = LayerParams(kernels=rng.normal(size=(3, 4)), bias=rng.normal(size=3))
     zero = np.zeros((2, 5, 4))
     assert np.allclose(output_logits(zero, layer), layer.bias)
 
-    ident = LayerParams(kind=OUTPUT, kernels=np.eye(3), bias=np.zeros(3))
+    ident = LayerParams(kernels=np.eye(3), bias=np.zeros(3))
     spikes = rng.integers(-1, 2, size=(1, 4, 3)).astype(float)
     assert np.array_equal(output_logits(spikes, ident), spikes)
 
@@ -341,16 +333,40 @@ def test_forward_masks_padding_against_batch_composition():
 def test_init_network_structure_and_defaults():
     cfg = NetworkConfig(embedding_dim=6, channels=4, n_spiking_conv=3)
     net = full_net(cfg)
-    kinds = [layer.kind for layer in net]
-    assert kinds == [ENCODING] + [SPIKING_CONV] * 3 + [OUTPUT]
+    # roles by position: encoder, three spiking convs, decoder
+    assert len(net) == 5
     assert net[0].kernels.shape == (4, 6, 5)
-    assert net[1].kernels.shape == (4, 4, 5)
+    assert all(layer.kernels.shape == (4, 4, 5) for layer in net[1:-1])
+    assert all(layer.neuron.w_fv_pos is not None for layer in net[1:-1])
     assert net[-1].kernels.shape == (3, 4)
+    assert net[-1].neuron is None
     assert np.all(net[1].neuron.w_scd == 0.1)
     assert np.all(net[1].neuron.w_vd == 0.1)
     assert float(net[1].neuron.w_fv_pos) == 1.0
     assert float(net[1].neuron.w_fv_neg) == 1.0
     assert net[0].neuron.w_fv_pos is None
+
+
+def test_forward_fires_at_the_configs_threshold():
+    # the threshold is the config's: a net built at v_thr 0.1 run at 0.4 fires at 0.4
+    cfg = NetworkConfig(embedding_dim=3, channels=4, kernel=3, n_spiking_conv=1,
+                        time_steps=4, spike_mode="ternary")
+    net = full_net(cfg)
+    emb = np.random.default_rng(8).normal(size=(2, 6, 3))
+    _, trace = forward(emb, net, dataclasses.replace(cfg, v_thr=0.4))
+    v = np.stack(trace.v[0])
+    assert np.any((np.abs(v) >= 0.1) & (np.abs(v) < 0.4))  # where 0.1 and 0.4 differ
+    assert np.array_equal(trace.spk[0], ternary_threshold(v, 0.4))
+
+
+def test_forward_refuses_a_net_deeper_or_shallower_than_the_config():
+    cfg = NetworkConfig(embedding_dim=3, channels=2, kernel=3, n_spiking_conv=2,
+                        time_steps=2)
+    net = full_net(cfg)
+    emb = np.zeros((1, 4, 3))
+    for n_spiking_conv in (1, 3):
+        with pytest.raises(ConfigError, match="4 layers"):
+            forward(emb, net, dataclasses.replace(cfg, n_spiking_conv=n_spiking_conv))
 
 
 def reference_forward(emb, net, cfg, mask):
@@ -366,7 +382,7 @@ def reference_forward(emb, net, cfg, mask):
     out_layer = net[-1]
     lifs = [
         [[[ScalarLIF(float(layer.neuron.w_scd[c]), float(layer.neuron.w_vd[c]),
-                     layer.neuron.v_thr, cfg.spike_mode)
+                     cfg.v_thr, cfg.spike_mode)
            for c in range(layer.kernels.shape[0])] for _ in range(r)] for _ in range(b)]
         for layer in spiking
     ]
@@ -376,7 +392,7 @@ def reference_forward(emb, net, cfg, mask):
     for t in range(cfg.time_steps):
         x = emb
         for li, layer in enumerate(spiking):
-            if layer.kind == SPIKING_CONV:
+            if li > 0:  # a spiking conv reads the weighted spikes of layer li - 1
                 n = layer.neuron
                 w_neg = n.w_fv_pos if cfg.spike_mode == "binary" else n.w_fv_neg
                 x = np.where(x > 0, float(n.w_fv_pos) * x, float(w_neg) * x)

@@ -20,11 +20,10 @@ from spiketag.neuron import (
 )
 
 
-def scalar_params(w_scd=0.1, w_vd=0.1, v_thr=0.1, n=1, dtype=np.float64):
+def scalar_params(w_scd=0.1, w_vd=0.1, n=1, dtype=np.float64):
     return NeuronParams(
         w_scd=np.full(n, w_scd, dtype=dtype),
         w_vd=np.full(n, w_vd, dtype=dtype),
-        v_thr=v_thr,
     )
 
 
@@ -90,11 +89,11 @@ def test_trajectories_match_scalar_oracle():
             v_thr = float(rng.uniform(0.05, 0.5))
             drives = rng.normal(scale=0.5, size=t_steps)
             oracle = ScalarLIF(w_scd, w_vd, v_thr, mode)
-            params = scalar_params(w_scd, w_vd, v_thr)
+            params = scalar_params(w_scd, w_vd)
             state = NeuronState.zeros((1,), dtype=np.float64)
             for t in range(t_steps):
                 o_spk, o_isc, o_v = oracle.step(float(drives[t]))
-                spk, state = lif_step(state, drives[t : t + 1], params, mode)
+                spk, state = lif_step(state, drives[t : t + 1], params, mode, v_thr=v_thr)
                 assert spk[0] == o_spk
                 assert state.isc[0] == o_isc
                 assert state.v[0] == o_v
@@ -102,7 +101,7 @@ def test_trajectories_match_scalar_oracle():
 
 def test_reset_removes_decayed_voltage():
     rng = np.random.default_rng(5)
-    params = scalar_params(w_scd=0.4, w_vd=0.8, v_thr=0.1, n=8)
+    params = scalar_params(w_scd=0.4, w_vd=0.8, n=8)
     state = NeuronState.zeros((8,), dtype=np.float64)
     for step in range(6):
         drive = rng.normal(scale=0.4, size=8)
@@ -118,13 +117,13 @@ def test_reset_removes_decayed_voltage():
 
 def test_ternary_sign_symmetry():
     rng = np.random.default_rng(17)
-    params = scalar_params(w_scd=0.3, w_vd=0.2, v_thr=0.15, n=6)
+    params = scalar_params(w_scd=0.3, w_vd=0.2, n=6)
     pos_state = NeuronState.zeros((6,), dtype=np.float64)
     neg_state = NeuronState.zeros((6,), dtype=np.float64)
     for _ in range(12):
         drive = rng.normal(scale=0.3, size=6)
-        pos_spk, pos_state = lif_step(pos_state, drive, params, "ternary")
-        neg_spk, neg_state = lif_step(neg_state, -drive, params, "ternary")
+        pos_spk, pos_state = lif_step(pos_state, drive, params, "ternary", v_thr=0.15)
+        neg_spk, neg_state = lif_step(neg_state, -drive, params, "ternary", v_thr=0.15)
         assert np.array_equal(neg_spk, -pos_spk)
 
 
@@ -208,12 +207,12 @@ def lif_runs(draw):
 @given(lif_runs())
 def test_lif_step_matches_scalar_oracle(run):
     shape, w_scd, w_vd, v_thr, drives, mode = run
-    params = NeuronParams(w_scd=np.asarray(w_scd), w_vd=np.asarray(w_vd), v_thr=v_thr)
+    params = NeuronParams(w_scd=np.asarray(w_scd), w_vd=np.asarray(w_vd))
     cells = list(np.ndindex(shape))
     neurons = [ScalarLIF(w_scd[c[-1]], w_vd[c[-1]], v_thr, mode) for c in cells]
     state = NeuronState.zeros(shape, dtype=np.float64)
     for drive in drives:
-        spk, state = lif_step(state, drive, params, mode)
+        spk, state = lif_step(state, drive, params, mode, v_thr=v_thr)
         expected = np.empty((3,) + shape)
         for cell, neuron in zip(cells, neurons):
             expected[(slice(None),) + cell] = neuron.step(float(drive[cell]))

@@ -170,6 +170,11 @@ def test_invalid_stored_network_config_rejected(tmp_path, capsys):
     assert_data_error(path, "time_steps", capsys)
 
 
+def test_checkpoint_of_a_run_with_no_epochs_rejected(tmp_path, capsys):
+    path = saved_with_header_edit(tmp_path, lambda h: h["train"].update(epochs=0))
+    assert_data_error(path, "epochs", capsys)
+
+
 class DiskFullAfter:
     """A binary file whose writes stop with ENOSPC once `room` bytes are in."""
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import conv1d_naive, matvec_naive, softmax_closed_form
 from spiketag.errors import ConfigError, DimensionError
-from spiketag.layers import OUTPUT, LayerParams, output_logits, softmax3
+from spiketag.layers import LayerParams, output_logits, softmax3
 from spiketag.tensorops import (
     conv1d_same,
     conv1d_same_input_grad,
@@ -157,7 +157,7 @@ def test_conv_kernel_grad_is_the_adjoint(case):
 
 
 def decoder(weight, bias):
-    return LayerParams(kind=OUTPUT, kernels=np.asarray(weight, dtype=float),
+    return LayerParams(kernels=np.asarray(weight, dtype=float),
                        bias=np.asarray(bias, dtype=float))
 
 

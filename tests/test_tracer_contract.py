@@ -2,8 +2,10 @@
 
 perfbench/tracer.py swaps `(module, attr)` bindings for timing wrappers. A
 refactor that renames or removes one of them would break the traced run
-without failing any other test, so every binding is checked here, as is
-the argument identity its per-layer backward attribution relies on.
+without failing any other test, so every binding is checked here, as are
+the argument identities its per-layer forward and backward attribution rely
+on: the layer object each forward step receives, the kernels each input-grad
+conv receives and the potential each spike_grad call receives.
 """
 
 import importlib.util
@@ -11,7 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from spiketag import training
+import pytest
+
+from spiketag import layers, training
 from spiketag.layers import NetworkConfig, forward, init_network
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -32,25 +36,60 @@ def test_every_tracer_binding_names_a_callable():
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
 
-def test_backward_passes_spike_grad_the_trace_potentials_deepest_first(monkeypatch):
-    # the tracer attributes backward time to a layer by matching spike_grad's
-    # `v` argument, by identity, to trace.v[li][t], the array lif_step returned
+@pytest.fixture
+def traced():
+    """(cfg, net, emb, mask) of a small float32 network with two spiking convs."""
     cfg = NetworkConfig(time_steps=3, channels=4, kernel=3, n_spiking_conv=2,
                         embedding_dim=5)
     rng = np.random.default_rng(0)
     net = init_network(cfg, rng, dtype=np.float32)
     emb = rng.normal(size=(2, 4, 5)).astype(np.float32)
-    mask = np.ones((2, 4), dtype=np.float32)
-    _, trace = forward(emb, net, cfg, mask=mask)
+    return cfg, net, emb, np.ones((2, 4), dtype=np.float32)
 
+
+def spy_on(monkeypatch, module, attr, arg, seen=None):
+    """Append argument `arg` of every call to module.attr to `seen`, in call order."""
+    seen = [] if seen is None else seen
+    real = getattr(module, attr)
+
+    def spy(*args, **kwargs):
+        seen.append(args[arg])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, spy)
+    return seen
+
+
+def test_forward_passes_each_step_its_layer_in_order(monkeypatch, traced):
+    # the tracer's layer_hook labels a forward step by its second argument,
+    # matched by identity to the layer objects of the network forward received
+    cfg, net, emb, mask = traced
     seen = []
-    real_spike_grad = training.spike_grad
+    for attr in ("encode_step", "spiking_conv_step", "output_logits"):
+        spy_on(monkeypatch, layers, attr, 1, seen)
+    forward(emb, net, cfg, mask=mask)
+    assert len(seen) == len(net)
+    assert all(got is want for got, want in zip(seen, net))
 
-    def spy(v, *args, **kwargs):
-        seen.append(v)
-        return real_spike_grad(v, *args, **kwargs)
 
-    monkeypatch.setattr(training, "spike_grad", spy)
+def test_backward_passes_input_grad_the_layer_kernels_deepest_first(monkeypatch, traced):
+    # the tracer checks each input-grad conv's kernels, by identity, against
+    # net[li].kernels of the backward segment spike_grad last opened
+    cfg, net, emb, mask = traced
+    _, trace = forward(emb, net, cfg, mask=mask)
+    seen = spy_on(monkeypatch, training, "conv1d_same_input_grad", 1)
+    training.backward(trace, np.zeros((2, 4), dtype=np.int64), mask, net, cfg)
+    expected = [net[li].kernels for li in range(len(net) - 2, 0, -1)]
+    assert len(seen) == len(expected) == cfg.n_spiking_conv
+    assert all(got is want for got, want in zip(seen, expected))
+
+
+def test_backward_passes_spike_grad_the_trace_potentials_deepest_first(monkeypatch, traced):
+    # the tracer attributes backward time to a layer by matching spike_grad's
+    # `v` argument, by identity, to trace.v[li][t], the array lif_step returned
+    cfg, net, emb, mask = traced
+    _, trace = forward(emb, net, cfg, mask=mask)
+    seen = spy_on(monkeypatch, training, "spike_grad", 0)
     training.backward(trace, np.zeros((2, 4), dtype=np.int64), mask, net, cfg)
     expected = [trace.v[li][t] for li in range(len(trace.v) - 1, -1, -1)
                 for t in range(cfg.time_steps - 1, -1, -1)]
