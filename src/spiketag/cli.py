@@ -107,20 +107,25 @@ def load_dataset(cfg):
 
 def cmd_train(args):
     cfg = effective_config(args)
+    # what needs no data is checked before the corpus and the table are read
+    net_cfg = cfg.network.validate()
+    train_cfg = cfg.train.validate()
     corpus, table = load_dataset(cfg)
     if table.dim < 1:
         raise ParseError("embedding table has width 0", path=cfg.embeddings)
-    net_cfg = cfg.network
     if net_cfg.embedding_dim and net_cfg.embedding_dim != table.dim:
         raise ConfigError(
             f"configured embedding_dim {net_cfg.embedding_dim} != table dim {table.dim}"
         )
     net_cfg.embedding_dim = table.dim
-    train_set, val_set = split_validation(corpus, cfg.val_size, cfg.train.seed)
-    net_cfg.validate()
-    train_cfg = cfg.train.validate()
+    train_set, val_set = split_validation(corpus, cfg.val_size, train_cfg.seed)
     out_dir = cfg.out or "."
     os.makedirs(out_dir, exist_ok=True)
+    ckpt_path = cfg.ckpt or os.path.join(out_dir, "model.ckpt")
+    ckpt_dir = os.path.dirname(ckpt_path) or "."
+    if not os.path.isdir(ckpt_dir):
+        raise CheckpointError(f"cannot write checkpoint {ckpt_path}: "
+                              f"{ckpt_dir} is not a directory")
     log_path = os.path.join(out_dir, "train.log")
     log_mode = "w"  # the first epoch's row replaces a previous run's log
 
@@ -132,7 +137,6 @@ def cmd_train(args):
         log_mode = "a"
 
     result = train(train_set, val_set, table, net_cfg, train_cfg, log_fn=log_fn)
-    ckpt_path = cfg.ckpt or os.path.join(out_dir, "model.ckpt")
     meta = {"epoch": result.best_epoch, "val_f1": result.best_f1,
             "seed": train_cfg.seed}
     save(

@@ -15,6 +15,13 @@ is scanned over t. A layer's spikes are one (T, B, R, C) block, which the
 next layer's conv and the decoder read whole; its current and potential stay
 the T per-step arrays lif_step returned, which only the adjoint scan reads.
 
+Only training and its checks need that trace: backward and grad_check read
+all of it, energy.profile_network and `spiketag inspect` read the spikes.
+Inference (training.predict, behind evaluate and `spiketag predict`) runs
+forward with keep_trace=False, which keeps no trace: a layer's current and
+potential live one step, and its input spike block is freed once weighted,
+so at most two spike blocks are alive. Its outputs are bit-identical.
+
 When a validity mask is supplied, padded positions have their embeddings and
 emitted spikes zeroed, so a sentence's outputs do not depend on how much
 padding its batch happens to carry.
@@ -168,12 +175,13 @@ def weighted_spikes(spk, neuron, mode, mask=None):
     return wspk
 
 
-def _lif_scan(drive, neuron, cfg, soft):
+def _lif_scan(drive, neuron, cfg, soft, keep_trace=True):
     """Advance one layer's LIF state through t = 1..T, the only sequential part.
 
     drive is (T, B, R, C). Returns a NeuronState whose spk is the (T, B, R, C)
     spike block, written step by step, and whose isc and v are tuples of the
-    T (B, R, C) currents and pre-reset potentials lif_step returned.
+    T (B, R, C) currents and pre-reset potentials lif_step returned; without
+    keep_trace they are empty and each step's state lives only until the next.
     """
     spk = np.empty(drive.shape, dtype=drive.dtype)
     isc, v = [], []
@@ -183,12 +191,13 @@ def _lif_scan(drive, neuron, cfg, soft):
             state, drive[t], neuron, cfg.spike_mode, soft=soft, alpha=cfg.alpha,
             v_thr=cfg.v_thr, centering=cfg.surrogate_centering,
         )
-        isc.append(state.isc)
-        v.append(state.v)
+        if keep_trace:
+            isc.append(state.isc)
+            v.append(state.v)
     return NeuronState(spk=spk, isc=tuple(isc), v=tuple(v))
 
 
-def encode_step(embeddings, layer, cfg, soft=False):
+def encode_step(embeddings, layer, cfg, soft=False, keep_trace=True):
     """Run the encoding layer for all T timesteps.
 
     The embeddings are presented unchanged at every step, so the drive is
@@ -196,25 +205,29 @@ def encode_step(embeddings, layer, cfg, soft=False):
     """
     drive = conv1d_same(embeddings, layer.kernels, layer.bias, padding=cfg.padding)
     drive = np.broadcast_to(drive, (cfg.time_steps,) + drive.shape)
-    return _lif_scan(drive, layer.neuron, cfg, soft)
+    return _lif_scan(drive, layer.neuron, cfg, soft, keep_trace)
 
 
-def spiking_conv_step(in_spikes, layer, cfg, mask=None, soft=False, checked=False):
+def spiking_conv_step(in_spikes, layer, cfg, mask=None, soft=False, checked=False,
+                      keep_trace=True):
     """Run a spiking conv layer for all T timesteps.
 
     in_spikes is the previous layer's raw (T, B, R, C) spike block and mask
     its (B, R) validity mask. The weighted spikes are convolved in one call
     over all T*B rows, then the LIF state is scanned over t. Returns the
-    NeuronState of _lif_scan.
+    NeuronState of _lif_scan. A caller that hands over its only reference
+    to in_spikes has the block freed as soon as it is weighted.
     """
     if checked and not soft:
         validate_spike_alphabet(in_spikes, cfg.spike_mode)
     t_steps, b, r, c = in_spikes.shape
     wspk = weighted_spikes(in_spikes, layer.neuron, cfg.spike_mode, mask)
+    del in_spikes
     drive = conv1d_same(wspk.reshape(t_steps * b, r, c), layer.kernels, layer.bias,
                         padding=cfg.padding)
     del wspk  # freed before the scan allocates this layer's states
-    return _lif_scan(drive.reshape(t_steps, b, r, -1), layer.neuron, cfg, soft)
+    return _lif_scan(drive.reshape(t_steps, b, r, -1), layer.neuron, cfg, soft,
+                     keep_trace)
 
 
 def output_logits(in_spikes, layer):
@@ -234,13 +247,15 @@ def output_logits(in_spikes, layer):
 
 @dataclass
 class StateTrace:
-    """Everything the backward pass needs from one forward run.
+    """What one forward run leaves behind: everything the backward pass needs,
+    or, for an inference forward, only its inputs and outputs.
 
     spk holds one (T, B, R, C) block of raw (pre-mask) spikes per spiking
     layer. isc and v hold one tuple per layer of the T (B, R, C) arrays
     lif_step returned: trace.v[li][t] is layer li's pre-reset potential at
     step t, the same object on every access. probs_t is the (T, B, R, |Y|)
-    block of per-timestep softmax outputs.
+    block of per-timestep softmax outputs. A forward run with
+    keep_trace=False leaves spk, isc and v empty.
     """
 
     embeddings: np.ndarray
@@ -260,14 +275,20 @@ def softmax3(logits):
 
 
 def forward(batch_embeddings, net, cfg: NetworkConfig, mask=None, soft=False,
-            checked=False):
+            checked=False, keep_trace=True):
     """Run the stack layer by layer, each layer over all T timesteps.
 
     Returns (prob_class, trace) where prob_class[i,j] sums each timestep's
-    softmax, so it totals T per token. The trace caches every layer's
-    (spikes, current, potential) per timestep for the backward pass. The
-    forward runs in the network's dtype: the embeddings are cast to it.
-    net must hold cfg.n_spiking_conv + 2 layers.
+    softmax, so it totals T per token. The forward runs in the network's
+    dtype: the embeddings are cast to it. net must hold cfg.n_spiking_conv + 2
+    layers.
+
+    By default the trace caches every layer's spikes, current and potential
+    per timestep: backward, grad_check, energy.profile_network and
+    `spiketag inspect` read them. With keep_trace=False (inference) it keeps
+    none of them, and each layer's input spike block is freed once it has
+    been weighted for the conv, so at most the block being scanned and its
+    successor are alive. prob_class is the same either way, bit for bit.
     """
     if len(net) != cfg.n_spiking_conv + 2:
         raise ConfigError(
@@ -282,16 +303,20 @@ def forward(batch_embeddings, net, cfg: NetworkConfig, mask=None, soft=False,
 
     trace = StateTrace(embeddings=emb, mask=mask, soft=soft)
 
-    def keep(states):
-        trace.spk.append(states.spk)
-        trace.isc.append(states.isc)
-        trace.v.append(states.v)
-        return states.spk
+    def hand_off(states):
+        # a one-slot list: popping it leaves the next layer the only reference
+        # outside the trace, so an untraced block is freed once weighted
+        if keep_trace:
+            trace.spk.append(states.spk)
+            trace.isc.append(states.isc)
+            trace.v.append(states.v)
+        return [states.spk]
 
-    spk = keep(encode_step(emb, net[0], cfg, soft=soft))
+    slot = hand_off(encode_step(emb, net[0], cfg, soft=soft, keep_trace=keep_trace))
     for layer in net[1:-1]:
-        spk = keep(spiking_conv_step(spk, layer, cfg, mask=mask, soft=soft,
-                                     checked=checked))
+        slot = hand_off(spiking_conv_step(slot.pop(), layer, cfg, mask=mask, soft=soft,
+                                          checked=checked, keep_trace=keep_trace))
+    spk = slot.pop()
     x = spk if mask is None else spk * mask[:, :, None]
     trace.probs_t = softmax3(output_logits(x, net[-1]))
     trace.prob_class = trace.probs_t.sum(axis=0)

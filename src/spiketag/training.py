@@ -363,13 +363,14 @@ def predict(examples, table, net, net_cfg, batch_size=8):
     """Yields (input position, decoded BIO labels) for each of `examples`.
 
     The one inference loop: batches run one at a time in batchify's length
-    order, and each forward's trace is dropped as soon as the call returns.
+    order, on the calling thread, each through a forward that keeps no trace.
     """
     from .data import batchify
     from .metrics import decode_bio
 
     for batch in batchify(examples, table, batch_size):
-        prob = forward(batch.embeddings, net, net_cfg, mask=batch.mask)[0]
+        prob = forward(batch.embeddings, net, net_cfg, mask=batch.mask,
+                       keep_trace=False)[0]
         yield from zip(batch.index.tolist(), decode_bio(prob, batch.mask))
 
 

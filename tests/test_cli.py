@@ -406,6 +406,31 @@ def test_a_refused_train_leaves_the_previous_run_untouched(capsys, tmp_path, ref
     assert {name: (tmp_path / name).read_bytes() for name in before} == before
 
 
+@pytest.mark.parametrize("flag", [("--epochs", "0"), ("--time-steps", "0")])
+def test_train_checks_its_config_before_reading_the_data(capsys, tmp_path, flag):
+    code, _, err = run(capsys, "train", "--data", TOY_CORPUS,
+                       "--embeddings", str(tmp_path / "missing.txt"),
+                       "--out", str(tmp_path), *flag)
+    assert code == 1
+    assert "configuration error" in err and "missing.txt" not in err
+
+
+@pytest.mark.parametrize("parent", ["nodir", "a_file"])
+def test_train_refuses_a_checkpoint_outside_a_directory_before_the_first_epoch(
+        capsys, tmp_path, parent):
+    (tmp_path / "a_file").write_text("not a directory\n")
+    before = {"train.log": b"0\tprevious run\n", "model.ckpt": b"previous checkpoint"}
+    for name, content in before.items():
+        (tmp_path / name).write_bytes(content)
+    ckpt = tmp_path / parent / "model.ckpt"
+    code, out, err = run(capsys, "train", "--config", small_config(tmp_path),
+                         "--ckpt", str(ckpt))
+    assert code == 2
+    assert "data error" in err and str(ckpt) in err
+    assert "\t" not in out  # no epoch row
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before
+
+
 def test_train_on_a_zero_width_table_is_a_data_error_naming_it(capsys, tmp_path):
     table = tmp_path / "emb.txt"
     table.write_text("3 0\nwe\nloved\nit\n")

@@ -313,10 +313,12 @@ def test_forward_deterministic(small_net_cfg):
     assert np.array_equal(p1, p2)
 
 
-def test_forward_masks_padding_against_batch_composition():
-    # a sentence's outputs must not depend on how much padding its batch has
+@pytest.mark.parametrize("mode", ["ternary", "binary"])
+def test_forward_masks_padding_against_batch_composition(mode):
+    # a sentence's outputs must not depend on how much padding its batch has,
+    # nor, bit for bit, on whether the forward keeps its trace
     cfg = NetworkConfig(embedding_dim=4, channels=3, n_spiking_conv=2,
-                        time_steps=3, spike_mode="ternary")
+                        time_steps=3, spike_mode=mode)
     net = full_net(cfg)
     net[0].bias[...] = 0.3  # nonzero bias would otherwise drive pad positions
     rng = np.random.default_rng(4)
@@ -328,6 +330,14 @@ def test_forward_masks_padding_against_batch_composition():
     mask[:, :4] = 1.0
     padded_prob, _ = forward(padded, net, cfg, mask=mask)
     assert np.allclose(alone_prob[0, :4], padded_prob[0, :4], atol=1e-12)
+
+    batch = np.concatenate([padded, rng.normal(scale=0.5, size=(1, 9, 4))]).astype(np.float32)
+    batch_mask = np.concatenate([mask, np.ones((1, 9))])
+    net32 = full_net(cfg, dtype=np.float32)
+    traced_prob, _ = forward(batch, net32, cfg, mask=batch_mask)
+    prob, trace = forward(batch, net32, cfg, mask=batch_mask, keep_trace=False)
+    assert np.array_equal(prob, traced_prob)
+    assert trace.spk == trace.isc == trace.v == []
 
 
 def test_init_network_structure_and_defaults():

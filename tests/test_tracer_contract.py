@@ -5,10 +5,13 @@ refactor that renames or removes one of them would break the traced run
 without failing any other test, so every binding is checked here, as are
 the argument identities its per-layer forward and backward attribution rely
 on: the layer object each forward step receives, the kernels each input-grad
-conv receives and the potential each spike_grad call receives.
+conv receives and the potential each spike_grad call receives. So is the
+shape of an inference pass its end-to-end clock reads: one training.forward
+call per batch, on the calling thread, with the mask passed by keyword.
 """
 
 import importlib.util
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ import numpy as np
 import pytest
 
 from spiketag import layers, training
+from spiketag.data import batchify
 from spiketag.layers import NetworkConfig, forward, init_network
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -95,3 +99,44 @@ def test_backward_passes_spike_grad_the_trace_potentials_deepest_first(monkeypat
                 for t in range(cfg.time_steps - 1, -1, -1)]
     assert len(seen) == len(expected) == 3 * cfg.time_steps
     assert all(got is want for got, want in zip(seen, expected))
+
+
+def test_inference_runs_one_forward_per_batch_on_the_calling_thread(monkeypatch, toy_corpus,
+                                                                    toy_table):
+    # clock_bindings times each inference batch from its training.forward call
+    # and counts its tokens from the mask keyword; the Recorder keeps one span
+    # stack, so the calls must come one by one from the thread running evaluate
+    cfg = NetworkConfig(time_steps=2, channels=4, kernel=3, n_spiking_conv=1,
+                        embedding_dim=toy_table.dim)
+    net = init_network(cfg, np.random.default_rng(0), dtype=np.float32)
+    examples = toy_corpus[:20]
+    batches = batchify(examples, toy_table, 8)
+    assert len(batches) > 1
+    calls = []
+    real_forward = training.forward
+
+    def spy(*args, **kwargs):
+        calls.append((threading.get_ident(), "mask" in kwargs))
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(training, "forward", spy)
+    list(training.predict(examples, toy_table, net, cfg, 8))
+    assert calls == [(threading.get_ident(), True)] * len(batches)
+    monkeypatch.undo()
+
+    tracer = load_tracer()
+    rec = tracer.LayerTracer()
+    rec.install()
+    try:
+        training.evaluate(examples, toy_table, net, cfg, 8)
+    finally:
+        rec.uninstall()
+    names = [span[0] for span in rec.spans]
+    assert names.count("training.evaluate") == 1
+    evaluate_at = names.index("training.evaluate")
+    forwards = [span for span in rec.spans if span[0] == "training.forward"]
+    assert len(forwards) == len(batches)
+    assert all(span[3] == evaluate_at for span in forwards)
+    (_, tokens, batch_s), = tracer.infer_passes(rec.spans)
+    assert len(batch_s) == len(batches)
+    assert tokens == sum(len(ex.tokens) for ex in examples)
