@@ -79,7 +79,7 @@ def ternary_threshold(v, v_thr):
     """+1 where v >= v_thr, -1 where v <= -v_thr, else 0."""
     v = np.asarray(v)
     dtype = v.dtype if v.dtype.kind == "f" else np.float64
-    return (v >= v_thr).astype(dtype) - (v <= -v_thr).astype(dtype)
+    return np.subtract(v >= v_thr, v <= -v_thr, dtype=dtype)
 
 
 def surrogate_grad(v, alpha):
@@ -134,6 +134,15 @@ def spike_grad(v, mode, alpha, v_thr, centering):
     return surrogate_grad_ternary(v, alpha, v_thr, centering)
 
 
+def _into(op, a, b):
+    """op(a, b), written over a (an array lif_step allocated) when b has a's
+    dtype; otherwise, or when a is a numpy scalar, a new result, so a
+    mixed-dtype step promotes as a + b would. Either way the values and
+    dtype are those of op(a, b)."""
+    in_place = isinstance(a, np.ndarray) and a.dtype == b.dtype
+    return op(a, b, out=a if in_place else None)
+
+
 def lif_step(prev, input_psp, params, mode=BINARY, soft=False, alpha=2.0,
              v_thr=0.1, centering=CENTER_ZERO):
     """One update/fire/reset cycle.
@@ -141,15 +150,20 @@ def lif_step(prev, input_psp, params, mode=BINARY, soft=False, alpha=2.0,
     input_psp is the already-weighted postsynaptic drive. v_thr is the firing
     threshold (+/-v_thr in ternary mode), alpha the soft-spike sharpness. Returns
     (spikes, next_state); next_state stores the pre-reset membrane potential,
-    the reset taking effect at the following step via (1 - |spk|).
+    the reset taking effect at the following step via (1 - |spk|). The
+    updates run in place on the arrays the step allocates; prev is not written.
     """
     input_psp = np.asarray(input_psp)
-    if prev.isc.shape != input_psp.shape or prev.v.shape != input_psp.shape:
+    shape = input_psp.shape
+    if prev.spk.shape != shape or prev.isc.shape != shape or prev.v.shape != shape:
         raise DimensionError(
             f"state shape {prev.v.shape} does not match drive shape {input_psp.shape}"
         )
-    isc = params.w_scd * prev.isc + input_psp
-    v = params.w_vd * prev.v * (1.0 - np.abs(prev.spk)) + isc
+    isc = _into(np.add, params.w_scd * prev.isc, input_psp)
+    keep = 1.0 - np.abs(prev.spk)
+    v = _into(np.multiply, params.w_vd * prev.v, keep)
+    del keep  # one step-sized array fewer while the spikes are made
+    v = _into(np.add, v, isc)
     if soft:
         spk = soft_spike(v, mode, alpha, v_thr, centering)
     elif mode == TERNARY:

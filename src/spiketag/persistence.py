@@ -183,8 +183,22 @@ def checkpoint_from_training(net, net_cfg, train_cfg, opt_state=None, meta=None)
     return Checkpoint(net_cfg=net_cfg, train_cfg=train_cfg, tensors=tensors, meta=meta)
 
 
+def _copy_stored(checkpoint, name, target):
+    """Write the checkpoint's tensor `name` into target, which fixes its shape."""
+    if name not in checkpoint.tensors:
+        raise CheckpointError(f"checkpoint is missing tensor {name}")
+    stored = checkpoint.tensors[name]
+    if stored.shape != target.shape:
+        raise CheckpointError(f"tensor {name} shape {stored.shape} != expected {target.shape}")
+    target[...] = stored
+
+
 def restore_network(checkpoint: Checkpoint):
-    """Rebuild (net, opt_state) from a loaded checkpoint."""
+    """Rebuild (net, opt_state) from a loaded checkpoint.
+
+    The Adam moments are all or nothing: a checkpoint holding any of them
+    must hold both moments of every parameter, each shaped like it.
+    """
     from .layers import init_network
     from .training import OptimizerState, named_parameters
 
@@ -192,18 +206,14 @@ def restore_network(checkpoint: Checkpoint):
     net = init_network(checkpoint.net_cfg, rng, dtype=np.float32)
     params = named_parameters(net)
     for name, p in params.items():
-        if name not in checkpoint.tensors:
-            raise CheckpointError(f"checkpoint is missing tensor {name}")
-        stored = checkpoint.tensors[name]
-        if stored.shape != p.shape:
-            raise CheckpointError(
-                f"tensor {name} shape {stored.shape} != expected {p.shape}"
-            )
-        p[...] = stored
+        _copy_stored(checkpoint, name, p)
     opt_state = OptimizerState.for_network(net)
-    opt_state.step = int(checkpoint.meta.get("optimizer_step", 0))
-    for name in params:
-        if f"adam_m.{name}" in checkpoint.tensors:
-            opt_state.m[name][...] = checkpoint.tensors[f"adam_m.{name}"]
-            opt_state.v[name][...] = checkpoint.tensors[f"adam_v.{name}"]
+    step = checkpoint.meta.get("optimizer_step", 0)
+    if isinstance(step, bool) or not isinstance(step, int) or step < 0:
+        raise CheckpointError(f"optimizer_step {step!r} is not a non-negative integer")
+    opt_state.step = step
+    if any(name.startswith(("adam_m.", "adam_v.")) for name in checkpoint.tensors):
+        for name in params:
+            _copy_stored(checkpoint, f"adam_m.{name}", opt_state.m[name])
+            _copy_stored(checkpoint, f"adam_v.{name}", opt_state.v[name])
     return net, opt_state

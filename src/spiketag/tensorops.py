@@ -5,12 +5,18 @@ inference run in float32; gradient checking runs the same code in float64.
 No sparse storage: spikes are kept dense and sparsity is accounted for
 analytically by the energy module.
 
-The convolutions take (Cout, Cin, K) kernels and, on every call, pack them
-tap-major and contiguous, so each of the K per-tap products is one BLAS
-GEMM over all B*R rows (a strided kernels[:, :, m] view cannot be handed
-to BLAS). Nothing is cached: the optimizer updates kernels in place. No
-padded copy of the input is made; each tap's product is added to the
-output rows it reaches.
+The convolutions are same-length only: odd K, padding (K-1)//2, stride 1,
+so every sequence keeps its length R (NetworkConfig.padding); any other
+geometry is a ConfigError. They take (Cout, Cin, K) kernels and, on every
+call, pack them tap-major and contiguous, so each of the K per-tap products
+is one BLAS GEMM over all B*R rows (a strided kernels[:, :, m] view cannot
+be handed to BLAS). Nothing is cached: the optimizer updates kernels in
+place. The forward and input-grad convs make no padded copy of their
+input: tap m shifts rows by |m - padding| within each sequence, so its
+(B*R, C) product is added to the flattened output as one contiguous row
+block, after the rows that would cross into a neighbouring sequence are
+zeroed; only one tap's product is alive at a time. The kernel gradient
+multiplies by slices of one zero-padded copy of the input.
 """
 
 import numpy as np
@@ -18,26 +24,50 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 
 
-def _tap_span(m, r, r_out, padding):
-    """Where kernel tap m lands inside the input.
+def _check_same_length(k, padding):
+    if k < 1 or k % 2 == 0 or padding != (k - 1) // 2:
+        raise ConfigError(
+            f"convolutions are same-length only: kernel size {k} must be odd "
+            f"and padding {padding} must be (K-1)//2"
+        )
 
-    Output rows lo..hi-1 read input rows src..src+hi-lo-1 through tap m;
-    the tap's other output rows read padding (zeros). Empty when hi <= lo.
+
+def _shifted_tap_sum(rows, taps, r, shifts):
+    """sum_m of rows @ taps[m], shifted by shifts[m] rows within each sequence.
+
+    rows is (B*R, C) and each sequence is R rows long; output row j of a
+    sequence gets row j + shifts[m] of that sequence's tap-m product, if
+    there is one. Each product is added to the output as one contiguous row
+    block, after the |shift| rows per sequence that would cross into a
+    neighbouring sequence are zeroed, and is freed before the next GEMM.
     """
-    lo = max(0, padding - m)
-    hi = min(r_out, r + padding - m)
-    return lo, hi, lo + m - padding
+    n = rows.shape[0]
+    out = np.zeros((n, taps.shape[2]), dtype=rows.dtype)
+    for tap, d in zip(taps, shifts):
+        if abs(d) >= r:
+            continue  # the tap reaches no row
+        y = rows @ tap
+        per_seq = y.reshape(-1, r, y.shape[1])
+        if d >= 0:
+            per_seq[:, :d] = 0.0
+            out[: n - d] += y[d:]
+        else:
+            per_seq[:, r + d :] = 0.0
+            out[-d:] += y[: n + d]
+        del y, per_seq
+    return out
 
 
 def conv1d_same(x, kernels, bias, padding=2):
-    """Sequence convolution with zero padding, stride 1.
+    """Same-length sequence convolution with zero padding, stride 1.
 
     x:       (B, R, Cin)
-    kernels: (Cout, Cin, K)
+    kernels: (Cout, Cin, K), K odd
     bias:    (Cout,)
-    returns  (B, R', Cout) with R' = R + 2*padding - K + 1;
+    padding: (K-1)//2
+    returns  (B, R, Cout);
     out[i,j,k] = sum_{l,m} x[i, j+m-padding, l] * kernels[k,l,m] + bias[k],
-    out-of-range taps read as zero. K=5, padding=2 preserves R.
+    out-of-range taps read as zero.
     """
     x = np.asarray(x)
     kernels = np.asarray(kernels)
@@ -52,62 +82,51 @@ def conv1d_same(x, kernels, bias, padding=2):
         raise DimensionError(f"kernel input channels {k_cin} != input channels {cin}")
     if bias.shape != (cout,):
         raise DimensionError(f"bias shape {bias.shape} != ({cout},)")
-    if padding < 0:
-        raise ConfigError(f"padding must be >= 0, got {padding}")
-    if padding >= k:
-        raise ConfigError(f"padding {padding} must be < kernel size {k}")
-    if k > r + 2 * padding:
-        raise DimensionError(f"kernel size {k} exceeds padded length {r + 2 * padding}")
-
-    r_out = r + 2 * padding - k + 1
+    _check_same_length(k, padding)
     taps = np.ascontiguousarray(kernels.transpose(2, 1, 0))  # (K, Cin, Cout)
-    x_rows = x.reshape(b * r, cin)
-    out = np.zeros((b, r_out, cout), dtype=x.dtype)
-    for m in range(k):
-        lo, hi, src = _tap_span(m, r, r_out, padding)
-        if hi > lo:
-            # one (B*R)x(Cin) @ (Cin)x(Cout) GEMM, then the rows this tap reaches
-            y = (x_rows @ taps[m]).reshape(b, r, cout)
-            out[:, lo:hi] += y[:, src : src + hi - lo]
+    # output row j reads input row j + m - padding through tap m
+    out = _shifted_tap_sum(x.reshape(b * r, cin), taps, r,
+                           [m - padding for m in range(k)])
     out += bias
-    return out
+    return out.reshape(b, r, cout)
 
 
 def conv1d_same_input_grad(d_out, kernels, r, padding=2):
     """Adjoint of conv1d_same with respect to its input.
 
-    d_out: (B, R', Cout) upstream gradient; returns (B, R, Cin).
+    d_out: (B, R, Cout) upstream gradient; returns (B, R, Cin).
     """
     b, r_out, cout = d_out.shape
     _, cin, k = kernels.shape
+    _check_same_length(k, padding)
+    if r_out != r:
+        raise DimensionError(f"upstream length {r_out} != input length {r}")
     taps = np.ascontiguousarray(kernels.transpose(2, 0, 1))  # (K, Cout, Cin)
-    d_rows = d_out.reshape(b * r_out, cout)
-    d_x = np.zeros((b, r, cin), dtype=d_out.dtype)
-    for m in range(k):
-        lo, hi, src = _tap_span(m, r, r_out, padding)
-        if hi > lo:
-            z = (d_rows @ taps[m]).reshape(b, r_out, cin)
-            d_x[:, src : src + hi - lo] += z[:, lo:hi]
-    return d_x
+    # input row j collects output row j + padding - m through tap m
+    d_x = _shifted_tap_sum(d_out.reshape(b * r, cout), taps, r,
+                           [padding - m for m in range(k)])
+    return d_x.reshape(b, r, cin)
 
 
 def conv1d_same_kernel_grad(x, d_out, k, padding=2):
     """Adjoint of conv1d_same with respect to the kernels.
 
-    x: (B, R, Cin) forward input; d_out: (B, R', Cout); returns (Cout, Cin, K).
+    x: (B, R, Cin) forward input; d_out: (B, R, Cout); returns (Cout, Cin, K).
     """
     b, r, cin = x.shape
     _, r_out, cout = d_out.shape
-    d_rows_t = d_out.reshape(b * r_out, cout).T
-    shifted = np.zeros((b, r_out, cin), dtype=x.dtype)  # what tap m reads, per output row
+    _check_same_length(k, padding)
+    if r_out != r:
+        raise DimensionError(f"upstream length {r_out} != input length {r}")
+    d_rows_t = d_out.reshape(b * r, cout).T
+    padded = np.zeros((b, r + 2 * padding, cin), dtype=x.dtype)
+    padded[:, padding : padding + r] = x
+    reads = np.empty((b, r, cin), dtype=x.dtype)  # what tap m reads, per output row
     d_k = np.zeros((cout, cin, k), dtype=d_out.dtype)
     for m in range(k):
-        lo, hi, src = _tap_span(m, r, r_out, padding)
-        if hi <= lo:
+        if abs(m - padding) >= r:
             continue
-        shifted[:, :lo] = 0.0
-        shifted[:, hi:] = 0.0
-        shifted[:, lo:hi] = x[:, src : src + hi - lo]
-        # (Cout, B*R') @ (B*R', Cin)
-        d_k[:, :, m] = d_rows_t @ shifted.reshape(b * r_out, cin)
+        reads[...] = padded[:, m : m + r]
+        # (Cout, B*R) @ (B*R, Cin)
+        d_k[:, :, m] = d_rows_t @ reads.reshape(b * r, cin)
     return d_k

@@ -147,29 +147,34 @@ def _adjoint_scan(trace, li, d_spk, neuron, cfg, grads):
     the decay-weight gradients accumulate along the way.
     """
     spk, isc, v = trace.spk[li], trace.isc[li], trace.v[li]
+    w_scd, w_vd = neuron.w_scd, neuron.w_vd
+    g_scd, g_vd = grads[f"{li}.w_scd"], grads[f"{li}.w_vd"]
     d_v_next = None
-    d_isc_next = None
+    keep = None  # 1 - |spk_t|, made at step t+1 for its w_vd gradient
     for t in range(cfg.time_steps - 1, -1, -1):
         d_s = d_spk[t]
         if trace.soft and d_v_next is not None:
             # reset factor (1 - |spk_t|) varies smoothly with v in soft mode
-            d_s = d_s - neuron.w_vd * v[t] * np.sign(spk[t]) * d_v_next
-        g_surr = spike_grad(v[t], cfg.spike_mode, cfg.alpha, cfg.v_thr,
-                            cfg.surrogate_centering)
-        d_v = g_surr * d_s
-        if d_v_next is not None:
-            d_v = d_v + neuron.w_vd * (1.0 - np.abs(spk[t])) * d_v_next
-        d_isc = d_v if d_isc_next is None else d_v + neuron.w_scd * d_isc_next
-
+            d_s = d_s - w_vd * v[t] * np.sign(spk[t]) * d_v_next
+        d_v = spike_grad(v[t], cfg.spike_mode, cfg.alpha, cfg.v_thr,
+                         cfg.surrogate_centering)
+        d_v *= d_s
+        # drive_t enters isc_t with unit weight: dL/ddrive_t = dL/disc_t,
+        # written over d_spk[t], which is read no more
+        if d_v_next is None:
+            d_spk[t] = d_v
+        else:
+            reset = w_vd * keep
+            reset *= d_v_next
+            d_v += reset
+            np.multiply(w_scd, d_spk[t + 1], out=d_spk[t])
+            d_spk[t] += d_v
         if t > 0:
-            grads[f"{li}.w_scd"] += (isc[t - 1] * d_isc).sum(axis=(0, 1))
-            grads[f"{li}.w_vd"] += (
-                v[t - 1] * (1.0 - np.abs(spk[t - 1])) * d_v
-            ).sum(axis=(0, 1))
-        # drive_t enters isc_t with unit weight
-        d_spk[t] = d_isc
+            keep = np.abs(spk[t - 1])
+            np.subtract(1.0, keep, out=keep)
+            g_scd += (isc[t - 1] * d_spk[t]).sum(axis=(0, 1))
+            g_vd += (v[t - 1] * keep * d_v).sum(axis=(0, 1))
         d_v_next = d_v
-        d_isc_next = d_isc
     return d_spk
 
 
@@ -271,7 +276,7 @@ def optimizer_step(net, grads, opt_state, cfg: TrainConfig):
     lr = cfg.learning_rate
     if cfg.optimizer == "sgd":
         for name, p in params.items():
-            p[...] = p - lr * grads[name]
+            p -= lr * grads[name]
         return
     opt_state.step += 1
     t = opt_state.step
@@ -282,9 +287,19 @@ def optimizer_step(net, grads, opt_state, cfg: TrainConfig):
         g = grads[name]
         m = opt_state.m[name]
         v = opt_state.v[name]
-        m[...] = b1 * m + (1.0 - b1) * g
-        v[...] = b2 * v + (1.0 - b2) * g * g
-        p[...] = p - lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+        m *= b1
+        m += (1.0 - b1) * g
+        g2 = (1.0 - b2) * g
+        g2 *= g
+        v *= b2
+        v += g2
+        # p -= lr * m_hat / (sqrt(v_hat) + eps)
+        step = m / corr1
+        step *= lr
+        den = np.sqrt(v / corr2)
+        den += eps
+        step /= den
+        p -= step
 
 
 @dataclass

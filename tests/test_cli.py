@@ -8,7 +8,7 @@ import pytest
 
 from spiketag.cli import main
 from spiketag.layers import NetworkConfig
-from spiketag.persistence import load, restore_network
+from spiketag.persistence import load, restore_network, save
 from spiketag.training import TrainConfig, named_parameters
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -253,6 +253,37 @@ def test_checkpoint_optimizer_state_is_the_best_epochs(capsys, tmp_path):
     for name, m in one_epoch.opt_state.m.items():
         assert np.array_equal(ckpt.tensors[f"adam_m.{name}"], m)
         assert np.array_equal(ckpt.tensors[f"adam_v.{name}"], one_epoch.opt_state.v[name])
+
+
+def drop_one_second_moment(ckpt):
+    del ckpt.tensors["adam_v.0.bias"]
+
+
+def non_integer_step(ckpt):
+    ckpt.meta["optimizer_step"] = "x"
+
+
+def one_element_first_moment(ckpt):
+    ckpt.tensors["adam_m.0.kernels"] = np.zeros(1, dtype=np.float32)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (drop_one_second_moment, "missing tensor adam_v.0.bias"),
+    (non_integer_step, "optimizer_step 'x'"),
+    (one_element_first_moment, "adam_m.0.kernels shape (1,)"),
+])
+def test_a_malformed_optimizer_state_is_a_data_error(capsys, tmp_path, edit, message):
+    cfg_path = small_config(tmp_path, epochs=1)
+    code, _, err = run(capsys, "train", "--config", cfg_path)
+    assert code == 0, err
+    ckpt = load(str(tmp_path / "model.ckpt"))
+    edit(ckpt)
+    edited = str(tmp_path / "edited.ckpt")
+    save(ckpt, edited)
+    code, out, err = run(capsys, "eval", "--config", cfg_path, "--ckpt", edited)
+    assert code == 2
+    assert "data error" in err and message in err
+    assert "Traceback" not in err and "TP\tFP\tFN" not in out
 
 
 def test_every_config_key_reaches_the_checkpoint(capsys, tmp_path):

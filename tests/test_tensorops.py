@@ -44,10 +44,8 @@ def test_conv_matches_naive_oracle_on_random_shapes():
     rng = np.random.default_rng(7)
     for _ in range(25):
         b, r, cin, cout = rng.integers(1, 5, size=4)
-        k = int(rng.integers(1, 5))
-        padding = int(rng.integers(0, k))
-        if k > r + 2 * padding:
-            continue
+        k = 2 * int(rng.integers(0, 4)) + 1
+        padding = (k - 1) // 2
         x = rng.normal(size=(b, r, cin))
         kernels = rng.normal(size=(cout, cin, k))
         bias = rng.normal(size=cout)
@@ -84,7 +82,22 @@ def test_conv_shape_errors():
     with pytest.raises(ConfigError):
         conv1d_same(x, np.zeros((3, 2, 3)), np.zeros(3), padding=3)
     with pytest.raises(DimensionError):
-        conv1d_same(np.zeros((1, 1, 2)), np.zeros((3, 2, 5)), np.zeros(3), padding=0)
+        conv1d_same(x, np.zeros((3, 2, 3)), np.zeros(4), padding=1)
+
+
+@pytest.mark.parametrize("k, padding", [(2, 0), (4, 1), (4, 2), (3, 0), (3, 2), (5, 1),
+                                        (1, 1)])
+def test_convs_are_same_length_only(k, padding):
+    # odd K with padding (K-1)//2 is the only geometry; R_out = R
+    b, r, cin, cout = 2, 6, 3, 4
+    x, d_out = np.zeros((b, r, cin)), np.zeros((b, r, cout))
+    kernels = np.zeros((cout, cin, k))
+    with pytest.raises(ConfigError):
+        conv1d_same(x, kernels, np.zeros(cout), padding=padding)
+    with pytest.raises(ConfigError):
+        conv1d_same_input_grad(d_out, kernels, r, padding=padding)
+    with pytest.raises(ConfigError):
+        conv1d_same_kernel_grad(x, d_out, k, padding=padding)
 
 
 def test_conv_adjoints_match_finite_differences():
@@ -115,17 +128,18 @@ def test_conv_adjoints_match_finite_differences():
 
 @st.composite
 def conv_cases(draw):
-    """Random conv geometry; b reaches the T*B rows the layers flatten."""
-    k = draw(st.integers(1, 5))
-    padding = draw(st.integers(0, k - 1))
-    r = draw(st.integers(max(1, k - 2 * padding), 12))
+    """Random same-length conv geometry; b reaches the T*B rows the layers
+    flatten, and r below K leaves taps that reach no row."""
+    k = 2 * draw(st.integers(0, 3)) + 1
+    padding = (k - 1) // 2
+    r = draw(st.integers(1, 12))
     b = draw(st.integers(1, 64))
     cin = draw(st.integers(1, 6))
     cout = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.normal(size=(b, r, cin))
     kernels = rng.normal(size=(cout, cin, k))
-    y = rng.normal(size=(b, r + 2 * padding - k + 1, cout))
+    y = rng.normal(size=(b, r, cout))
     return x, kernels, y, padding
 
 
