@@ -20,13 +20,24 @@ all of it, energy.profile_network and `spiketag inspect` read the spikes.
 Inference (training.predict, behind evaluate and `spiketag predict`) runs
 forward with keep_trace=False, which keeps no trace: a layer's current and
 potential live one step, and its input spike block is freed once weighted,
-so at most two spike blocks are alive. Its outputs are bit-identical.
+so at most two spike blocks are alive per half (see below). Run serially,
+its outputs are bit-identical to the traced forward's.
+
+An untraced forward whose per-step state is large (B*R*C >= 2**15 elements,
+B >= 2, two usable cores) splits the batch's rows into two halves and runs
+them at once, one on a worker thread and one on the calling thread; each
+half is the serial untraced forward, so its outputs are those of the two
+halves run as batches of their own. Numpy's GEMMs and large ufuncs release
+the GIL, so the halves use both cores. Below the gate the split gains little
+or loses (README, "Inference batching"), and every traced forward stays
+serial.
 
 When a validity mask is supplied, padded positions have their embeddings and
 emitted spikes zeroed, so a sentence's outputs do not depend on how much
 padding its batch happens to carry.
 """
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +56,13 @@ from .neuron import (
 from .tensorops import conv1d_same
 
 N_CLASSES = 3  # O, B, I
+
+# An untraced forward splits its batch over at most two threads, and only
+# when a step's state has at least SPLIT_MIN_ELEMENTS (B*R*C) elements.
+# sched_getaffinity is Linux-only; elsewhere count every core.
+USABLE_CORES = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+SPLIT_MIN_ELEMENTS = 2**15
 
 
 @dataclass
@@ -288,7 +306,12 @@ def forward(batch_embeddings, net, cfg: NetworkConfig, mask=None, soft=False,
     `spiketag inspect` read them. With keep_trace=False (inference) it keeps
     none of them, and each layer's input spike block is freed once it has
     been weighted for the conv, so at most the block being scanned and its
-    successor are alive. prob_class is the same either way, bit for bit.
+    successor are alive in each half of the batch. At or above the split
+    gate (B >= 2, USABLE_CORES >= 2, B*R*C >= SPLIT_MIN_ELEMENTS) the rows
+    are split in two: rows B//2 onwards run on a worker thread while the
+    calling thread runs the rest, and probs_t and prob_class are joined
+    along the batch axis. A worker's exception is raised here, and no thread
+    outlives the call.
     """
     if len(net) != cfg.n_spiking_conv + 2:
         raise ConfigError(
@@ -301,6 +324,31 @@ def forward(batch_embeddings, net, cfg: NetworkConfig, mask=None, soft=False,
         mask = np.asarray(mask, dtype=emb.dtype)
         emb = emb * mask[:, :, None]
 
+    b, r, _ = emb.shape
+    if (keep_trace or b < 2 or USABLE_CORES < 2
+            or b * r * cfg.channels < SPLIT_MIN_ELEMENTS):
+        trace = _run_stack(emb, mask, net, cfg, soft, checked, keep_trace)
+        return trace.prob_class, trace
+
+    # imported here: a process that never splits does not pay its ~0.7 MB RSS
+    from concurrent.futures import ThreadPoolExecutor
+
+    def run_half(rows):
+        return _run_stack(emb[rows], None if mask is None else mask[rows], net, cfg,
+                          soft, checked, keep_trace=False)
+
+    with ThreadPoolExecutor(1) as worker:
+        second = worker.submit(run_half, slice(b // 2, None))
+        first = run_half(slice(None, b // 2))
+        second = second.result()
+    trace = StateTrace(embeddings=emb, mask=mask, soft=soft,
+                       probs_t=np.concatenate([first.probs_t, second.probs_t], axis=1),
+                       prob_class=np.concatenate([first.prob_class, second.prob_class]))
+    return trace.prob_class, trace
+
+
+def _run_stack(emb, mask, net, cfg, soft, checked, keep_trace):
+    """The serial forward of forward()'s checked, masked embeddings; returns its trace."""
     trace = StateTrace(embeddings=emb, mask=mask, soft=soft)
 
     def hand_off(states):
@@ -320,4 +368,4 @@ def forward(batch_embeddings, net, cfg: NetworkConfig, mask=None, soft=False,
     x = spk if mask is None else spk * mask[:, :, None]
     trace.probs_t = softmax3(output_logits(x, net[-1]))
     trace.prob_class = trace.probs_t.sum(axis=0)
-    return trace.prob_class, trace
+    return trace

@@ -378,7 +378,9 @@ def predict(examples, table, net, net_cfg, batch_size=8):
     """Yields (input position, decoded BIO labels) for each of `examples`.
 
     The one inference loop: batches run one at a time in batchify's length
-    order, on the calling thread, each through a forward that keeps no trace.
+    order, each through one forward call, made on the calling thread, that
+    keeps no trace. Inside that call a batch at or above layers'
+    SPLIT_MIN_ELEMENTS runs half its rows on a worker thread.
     """
     from .data import batchify
     from .metrics import decode_bio

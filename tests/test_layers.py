@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from spiketag.layers import (
     spiking_conv_step,
     weighted_spikes,
 )
+from spiketag.metrics import decode_bio
 from spiketag.neuron import NeuronParams, ternary_threshold
 from spiketag.tensorops import conv1d_same
 
@@ -314,9 +316,10 @@ def test_forward_deterministic(small_net_cfg):
 
 
 @pytest.mark.parametrize("mode", ["ternary", "binary"])
-def test_forward_masks_padding_against_batch_composition(mode):
+def test_forward_masks_padding_against_batch_composition(mode, monkeypatch):
     # a sentence's outputs must not depend on how much padding its batch has,
-    # nor, bit for bit, on whether the forward keeps its trace
+    # nor, bit for bit, on whether the forward keeps its trace or splits its
+    # rows across two threads
     cfg = NetworkConfig(embedding_dim=4, channels=3, n_spiking_conv=2,
                         time_steps=3, spike_mode=mode)
     net = full_net(cfg)
@@ -338,6 +341,81 @@ def test_forward_masks_padding_against_batch_composition(mode):
     prob, trace = forward(batch, net32, cfg, mask=batch_mask, keep_trace=False)
     assert np.array_equal(prob, traced_prob)
     assert trace.spk == trace.isc == trace.v == []
+
+    # at the split gate (B*R*C = 2**15), with padded rows in both halves
+    monkeypatch.setattr(layers, "USABLE_CORES", 2)
+    cfg = NetworkConfig(embedding_dim=4, channels=128, n_spiking_conv=1,
+                        time_steps=2, spike_mode=mode)
+    net32 = full_net(cfg, dtype=np.float32)
+    batch = rng.normal(scale=0.5, size=(32, 8, 4)).astype(np.float32)
+    batch_mask = np.ones((32, 8), dtype=np.float32)
+    for row, length in ((1, 3), (7, 5), (16, 1), (30, 6)):
+        batch_mask[row, length:] = 0.0
+    assert 32 * 8 * 128 == layers.SPLIT_MIN_ELEMENTS
+    prob, trace = forward(batch, net32, cfg, mask=batch_mask, keep_trace=False)
+    halves = [forward(batch[rows], net32, cfg, mask=batch_mask[rows])[0]
+              for rows in (slice(None, 16), slice(16, None))]
+    assert np.array_equal(prob, np.concatenate(halves))
+    assert trace.probs_t.shape == (2, 32, 8, N_CLASSES)
+    assert np.array_equal(trace.probs_t.sum(axis=0), prob)
+    traced_prob, _ = forward(batch, net32, cfg, mask=batch_mask)
+    assert decode_bio(prob, batch_mask) == decode_bio(traced_prob, batch_mask)
+
+
+@pytest.mark.parametrize("b, r, cores, keep_trace, threads", [
+    (128, 64, 2, False, 2),   # B*R*C = 2**15: split, one half on each thread
+    (128, 63, 2, False, 1),   # one row per sentence short of the gate
+    (1, 8192, 2, False, 1),   # a single sentence is never split
+    (128, 64, 2, True, 1),    # a traced forward is never split
+    (128, 64, 1, False, 1),   # nor is one on a one-core host
+])
+def test_untraced_forward_splits_only_at_or_above_the_gate(monkeypatch, b, r, cores,
+                                                           keep_trace, threads):
+    cfg = NetworkConfig(embedding_dim=2, channels=4, kernel=3, n_spiking_conv=1,
+                        time_steps=1)
+    net = full_net(cfg, dtype=np.float32)
+    monkeypatch.setattr(layers, "USABLE_CORES", cores)
+    seen = []  # the thread of every encode_step call
+    real = layers.encode_step
+
+    def spy(*args, **kwargs):
+        seen.append(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(layers, "encode_step", spy)
+    forward(np.ones((b, r, 2), dtype=np.float32), net, cfg, keep_trace=keep_trace)
+    assert len(seen) == threads == len(set(seen))
+    if threads == 1:
+        assert seen == [threading.get_ident()]
+    else:
+        assert threading.get_ident() in seen
+
+
+@pytest.mark.parametrize("failing_rows", [17, 16], ids=["worker", "caller"])
+def test_a_failing_half_raises_from_forward_and_leaves_no_thread(monkeypatch,
+                                                                failing_rows):
+    # B=33 splits into the calling thread's 16 rows and the worker's 17
+    class HalfFailed(Exception):
+        pass
+
+    cfg = NetworkConfig(embedding_dim=2, channels=128, kernel=3, n_spiking_conv=1,
+                        time_steps=1)
+    net = full_net(cfg, dtype=np.float32)
+    monkeypatch.setattr(layers, "USABLE_CORES", 2)
+    real = layers.encode_step
+
+    def encode_step(embeddings, *args, **kwargs):
+        if embeddings.shape[0] == failing_rows:
+            raise HalfFailed(threading.current_thread().name)
+        return real(embeddings, *args, **kwargs)
+
+    monkeypatch.setattr(layers, "encode_step", encode_step)
+    before = threading.active_count()
+    with pytest.raises(HalfFailed) as failed:
+        forward(np.ones((33, 8, 2), dtype=np.float32), net, cfg, keep_trace=False)
+    on_caller = str(failed.value) == threading.current_thread().name
+    assert on_caller == (failing_rows == 16)
+    assert threading.active_count() == before
 
 
 def test_init_network_structure_and_defaults():

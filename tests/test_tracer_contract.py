@@ -101,17 +101,25 @@ def test_backward_passes_spike_grad_the_trace_potentials_deepest_first(monkeypat
     assert all(got is want for got, want in zip(seen, expected))
 
 
-def test_inference_runs_one_forward_per_batch_on_the_calling_thread(monkeypatch, toy_corpus,
-                                                                    toy_table):
+@pytest.mark.parametrize("channels, batch_size, n_examples, split", [
+    (4, 8, 20, False),
+    (128, 32, 64, True),   # every batch at or above layers.SPLIT_MIN_ELEMENTS
+], ids=["serial", "split"])
+def test_inference_runs_one_forward_per_batch_on_the_calling_thread(
+        monkeypatch, toy_corpus, toy_table, channels, batch_size, n_examples, split):
     # clock_bindings times each inference batch from its training.forward call
     # and counts its tokens from the mask keyword; the Recorder keeps one span
-    # stack, so the calls must come one by one from the thread running evaluate
-    cfg = NetworkConfig(time_steps=2, channels=4, kernel=3, n_spiking_conv=1,
+    # stack, so the calls must come one by one from the thread running evaluate,
+    # also when each forward splits its rows across two threads
+    monkeypatch.setattr(layers, "USABLE_CORES", 2)
+    cfg = NetworkConfig(time_steps=2, channels=channels, kernel=3, n_spiking_conv=1,
                         embedding_dim=toy_table.dim)
     net = init_network(cfg, np.random.default_rng(0), dtype=np.float32)
-    examples = toy_corpus[:20]
-    batches = batchify(examples, toy_table, 8)
+    examples = toy_corpus[:n_examples]
+    batches = batchify(examples, toy_table, batch_size)
     assert len(batches) > 1
+    assert all((b.mask.size * channels >= layers.SPLIT_MIN_ELEMENTS) == split
+               for b in batches)
     calls = []
     real_forward = training.forward
 
@@ -119,20 +127,23 @@ def test_inference_runs_one_forward_per_batch_on_the_calling_thread(monkeypatch,
         calls.append((threading.get_ident(), "mask" in kwargs))
         return real_forward(*args, **kwargs)
 
-    monkeypatch.setattr(training, "forward", spy)
-    list(training.predict(examples, toy_table, net, cfg, 8))
+    with monkeypatch.context() as patch:
+        patch.setattr(training, "forward", spy)
+        encoders = spy_on(patch, layers, "encode_step", 0)
+        list(training.predict(examples, toy_table, net, cfg, batch_size))
     assert calls == [(threading.get_ident(), True)] * len(batches)
-    monkeypatch.undo()
+    assert len(encoders) == (2 if split else 1) * len(batches)
 
     tracer = load_tracer()
     rec = tracer.LayerTracer()
     rec.install()
     try:
-        training.evaluate(examples, toy_table, net, cfg, 8)
+        training.evaluate(examples, toy_table, net, cfg, batch_size)
     finally:
         rec.uninstall()
     names = [span[0] for span in rec.spans]
     assert names.count("training.evaluate") == 1
+    assert names.count("layers.encode_step") == len(encoders)
     evaluate_at = names.index("training.evaluate")
     forwards = [span for span in rec.spans if span[0] == "training.forward"]
     assert len(forwards) == len(batches)
