@@ -5,6 +5,7 @@ in {O, B, I}, blank line between sentences. Embedding files are text: an
 optional "count dim" header line, then "token v1 ... vE" per line.
 """
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,8 +15,7 @@ from .errors import ConfigError, ParseError
 LABELS = ("O", "B", "I")
 LABEL_TO_ID = {lab: i for i, lab in enumerate(LABELS)}
 # Table lines per np.loadtxt call. This bounds loadtxt's float64 copy and the
-# pending value text, not the whole parse: every parsed chunk is held until
-# the final concatenate.
+# pending value text; each parsed chunk then goes straight into the table.
 CHUNK_LINES = 2048
 
 
@@ -156,12 +156,14 @@ def load_embeddings(path):
     reads the values CHUNK_LINES lines at a time, as float64 rounded to
     float32 like Python's float(). A chunk it rejects is re-read line by
     line with float(), which names the bad line or accepts a numeral numpy
-    does not read (such as "1_0").
+    does not read (such as "1_0"). Each parsed chunk is written into the one
+    table matrix, sized by the header's count when there is one.
     """
     rows = {}  # token -> row, first occurrences in file order
     dim = None
+    room = 0  # vectors to allocate for up front: the header's count, if plausible
     duplicates = 0
-    blocks = []  # float32 values of the parsed chunks
+    matrix = None  # (capacity, dim) float32; rows :len(rows) - len(pending) are parsed
     pending = []  # (line number, value text) of first occurrences not yet parsed
     for line_no, line in enumerate(utf8_lines(path), start=1):
         parts = line.split(None, 1)
@@ -169,8 +171,10 @@ def load_embeddings(path):
             continue
         if line_no == 1 and len(line.split()) == 2:
             try:
-                int(parts[0])
-                dim = int(parts[1])
+                count, dim = int(parts[0]), int(parts[1])
+                # a vector line holds at least 2 * dim + 1 characters, so the
+                # file's size caps the count: a false one cannot size a huge matrix
+                room = min(count, os.path.getsize(path) // (2 * dim + 1))
                 continue  # header "count dim"
             except ValueError:
                 pass
@@ -193,17 +197,37 @@ def load_embeddings(path):
         rows[token] = len(rows)
         pending.append((line_no, rest))
         if len(pending) == CHUNK_LINES:
-            blocks.append(_parse_values(pending, dim, path))
+            matrix = _store(matrix, len(rows) - len(pending),
+                            _parse_values(pending, dim, path), room)
             pending = []
     if pending:
-        blocks.append(_parse_values(pending, dim, path))
+        matrix = _store(matrix, len(rows) - len(pending),
+                        _parse_values(pending, dim, path), room)
     if not rows:
         raise ParseError("embedding file holds no vectors", path=path, line=0)
-    matrix = np.empty((len(rows) + 1, dim), dtype=np.float32)
-    np.concatenate(blocks, out=matrix[:-1])
+    if len(matrix) != len(rows) + 1:
+        matrix.resize((len(rows) + 1, dim), refcheck=False)  # no view of it exists
     matrix[-1] = mean_vector(matrix[:-1])
     return EmbeddingTable(dim=dim, vectors=dict(zip(rows, matrix)), unk=matrix[-1],
                           duplicate_tokens=duplicates, matrix=matrix)
+
+
+def _store(matrix, at, values, room):
+    """matrix with values written from row `at`, allocated or grown to fit
+    them and a spare row for unk.
+
+    The first chunk allocates room vectors and unk's row, or more if the
+    chunk needs it. A matrix that is full grows by a quarter, or to fit the
+    chunk if that is more; load_embeddings trims the spare rows at the end.
+    """
+    n, dim = values.shape
+    need = at + n + 1
+    if matrix is None:
+        matrix = np.empty((max(need, room + 1), dim), dtype=np.float32)
+    elif need > len(matrix):
+        matrix.resize((max(need, len(matrix) + len(matrix) // 4), dim), refcheck=False)
+    matrix[at:at + n] = values
+    return matrix
 
 
 def mean_vector(vectors):

@@ -11,26 +11,30 @@ summed over timesteps into per-token class scores.
 The forward pass runs layer by layer. A layer's drive for all T timesteps
 is one convolution over T*B rows (the encoder's, being the same at every
 step, is computed once); then the LIF recurrence, the only sequential part,
-is scanned over t. A layer's spikes are one (T, B, R, C) block, which the
-next layer's conv and the decoder read whole; its current and potential stay
-the T per-step arrays lif_step returned, which only the adjoint scan reads.
+is scanned over t. A layer's spikes are one (T, B, R, C) block, which each
+lif_step writes one row t at a time and the next layer's conv and the
+decoder read whole; a traced forward keeps the layer's current and
+potential as T per-step arrays, which only the adjoint scan reads.
 
 Only training and its checks need that trace: backward and grad_check read
 all of it, energy.profile_network and `spiketag inspect` read the spikes.
 Inference (training.predict, behind evaluate and `spiketag predict`) runs
 forward with keep_trace=False, which keeps no trace: a layer's current and
-potential live one step, and its input spike block is freed once weighted,
-so at most two spike blocks are alive per half (see below). Run serially,
-its outputs are bit-identical to the traced forward's.
+potential are two buffers its scan updates in place, and its input spike
+block is freed once weighted, so at most two spike blocks are alive per part
+(see below). Run serially, its outputs are bit-identical to the traced
+forward's.
 
 An untraced forward whose per-step state is large (B*R*C >= 2**15 elements,
-B >= 2, two usable cores) splits the batch's rows into two halves and runs
-them at once, one on a worker thread and one on the calling thread; each
-half is the serial untraced forward, so its outputs are those of the two
-halves run as batches of their own. Numpy's GEMMs and large ufuncs release
-the GIL, so the halves use both cores. Below the gate the split gains little
-or loses (README, "Inference batching"), and every traced forward stays
-serial.
+B >= 2, two usable cores) splits the batch's rows into two parts and runs
+them at once, one on a worker thread and one on the calling thread. The
+split row balances the parts' padded positions, and each part runs only to
+its own longest real row: it is the serial untraced forward of those rows,
+trimmed. Positions past a part's length are padding, which the serial
+forward decodes from a zero input, and they get that output. Numpy's GEMMs
+and large ufuncs release the GIL, so the parts use both cores. Below the
+gate the split gains little or loses (README, "Inference batching"), and
+every traced forward stays serial.
 
 When a validity mask is supplied, padded positions have their embeddings and
 emitted spikes zeroed, so a sentence's outputs do not depend on how much
@@ -186,8 +190,12 @@ def weighted_spikes(spk, neuron, mode, mask=None):
     """
     if mode == BINARY:
         wspk = neuron.w_fv_pos * spk
-    else:
-        wspk = neuron.w_fv_pos * np.maximum(spk, 0.0) + neuron.w_fv_neg * np.minimum(spk, 0.0)
+    else:  # in place, so at most two new blocks are alive
+        wspk = np.maximum(spk, 0.0)
+        wspk *= neuron.w_fv_pos
+        neg = np.minimum(spk, 0.0)
+        neg *= neuron.w_fv_neg
+        wspk += neg
     if mask is not None:
         wspk *= mask[:, :, None]
     return wspk
@@ -197,17 +205,22 @@ def _lif_scan(drive, neuron, cfg, soft, keep_trace=True):
     """Advance one layer's LIF state through t = 1..T, the only sequential part.
 
     drive is (T, B, R, C). Returns a NeuronState whose spk is the (T, B, R, C)
-    spike block, written step by step, and whose isc and v are tuples of the
-    T (B, R, C) currents and pre-reset potentials lif_step returned; without
-    keep_trace they are empty and each step's state lives only until the next.
+    spike block, each step's lif_step writing its spikes straight into row t,
+    and whose isc and v are tuples of the T (B, R, C) currents and pre-reset
+    potentials, a fresh pair per step. Without keep_trace they are empty: the
+    current and potential are then two buffers every step updates in place.
     """
     spk = np.empty(drive.shape, dtype=drive.dtype)
     isc, v = [], []
     state = NeuronState.zeros(drive.shape[1:], drive.dtype)
     for t in range(drive.shape[0]):
-        spk[t], state = lif_step(
+        if keep_trace:
+            out = NeuronState(spk[t], np.empty_like(state.isc), np.empty_like(state.v))
+        else:
+            out = NeuronState(spk[t], state.isc, state.v)
+        _, state = lif_step(
             state, drive[t], neuron, cfg.spike_mode, soft=soft, alpha=cfg.alpha,
-            v_thr=cfg.v_thr, centering=cfg.surrogate_centering,
+            v_thr=cfg.v_thr, centering=cfg.surrogate_centering, out=out,
         )
         if keep_trace:
             isc.append(state.isc)
@@ -306,12 +319,14 @@ def forward(batch_embeddings, net, cfg: NetworkConfig, mask=None, soft=False,
     `spiketag inspect` read them. With keep_trace=False (inference) it keeps
     none of them, and each layer's input spike block is freed once it has
     been weighted for the conv, so at most the block being scanned and its
-    successor are alive in each half of the batch. At or above the split
+    successor are alive in each part of the batch. At or above the split
     gate (B >= 2, USABLE_CORES >= 2, B*R*C >= SPLIT_MIN_ELEMENTS) the rows
-    are split in two: rows B//2 onwards run on a worker thread while the
-    calling thread runs the rest, and probs_t and prob_class are joined
-    along the batch axis. A worker's exception is raised here, and no thread
-    outlives the call.
+    are split in two at the row _split_by_work picks: rows h onwards run on
+    a worker thread while the calling thread runs the rest, each part cut to
+    its own longest real row. probs_t and prob_class are assembled at full
+    (B, R), their padded positions holding what the serial forward computes
+    there. A worker's exception is raised here, and no thread outlives the
+    call.
     """
     if len(net) != cfg.n_spiking_conv + 2:
         raise ConfigError(
@@ -333,18 +348,48 @@ def forward(batch_embeddings, net, cfg: NetworkConfig, mask=None, soft=False,
     # imported here: a process that never splits does not pay its ~0.7 MB RSS
     from concurrent.futures import ThreadPoolExecutor
 
-    def run_half(rows):
-        return _run_stack(emb[rows], None if mask is None else mask[rows], net, cfg,
-                          soft, checked, keep_trace=False)
+    h, first_len, second_len = _split_by_work(
+        np.full(b, r) if mask is None else _real_ends(mask))
+
+    def run_part(rows, length):
+        return _run_stack(emb[rows, :length], None if mask is None else mask[rows, :length],
+                          net, cfg, soft, checked, keep_trace=False)
 
     with ThreadPoolExecutor(1) as worker:
-        second = worker.submit(run_half, slice(b // 2, None))
-        first = run_half(slice(None, b // 2))
+        second = worker.submit(run_part, slice(h, None), second_len)
+        first = run_part(slice(None, h), first_len)
         second = second.result()
-    trace = StateTrace(embeddings=emb, mask=mask, soft=soft,
-                       probs_t=np.concatenate([first.probs_t, second.probs_t], axis=1),
-                       prob_class=np.concatenate([first.prob_class, second.prob_class]))
+    # a position past its part's length is padding, where the serial forward
+    # decodes a zero input: the logits are the decoder's bias
+    probs_t = np.empty((cfg.time_steps, b, r, N_CLASSES), dtype=first.probs_t.dtype)
+    probs_t[...] = softmax3(net[-1].bias)
+    probs_t[:, :h, :first_len] = first.probs_t
+    probs_t[:, h:, :second_len] = second.probs_t
+    trace = StateTrace(embeddings=emb, mask=mask, soft=soft, probs_t=probs_t,
+                       prob_class=probs_t.sum(axis=0))
     return trace.prob_class, trace
+
+
+def _real_ends(mask):
+    """One past the last real position of each row of a (B, R) mask; 1 for a
+    row with none, so that no part of a split is empty."""
+    return np.max(np.where(mask != 0, np.arange(1, mask.shape[1] + 1), 1), axis=1)
+
+
+def _split_by_work(ends):
+    """Split rows at h to balance the padded positions of the two parts.
+
+    ends holds each row's real length (_real_ends). Part one is rows :h and
+    part two rows h:, each run only to its own longest row, L1 and L2. h
+    minimises max(h * L1, (B - h) * L2), the first such h on ties; returns
+    (h, L1, L2).
+    """
+    b = len(ends)
+    head = np.maximum.accumulate(ends)[:-1]            # L1 for h = 1 .. B-1
+    tail = np.maximum.accumulate(ends[::-1])[::-1][1:]  # L2 for h = 1 .. B-1
+    h = np.arange(1, b)
+    i = int(np.argmin(np.maximum(h * head, (b - h) * tail)))
+    return i + 1, int(head[i]), int(tail[i])
 
 
 def _run_stack(emb, mask, net, cfg, soft, checked, keep_trace):

@@ -69,17 +69,20 @@ class NeuronParams:
     w_fv_neg: np.ndarray | None = None
 
 
-def heaviside(v):
-    """1 where v >= 0, else 0 (H(0) = 1). Works on scalars and arrays."""
+def heaviside(v, out=None):
+    """1 where v >= 0, else 0 (H(0) = 1); written into out if given. Works on
+    scalars and arrays."""
     v = np.asarray(v)
-    return (v >= 0).astype(v.dtype if v.dtype.kind == "f" else np.float64)
+    if out is None:
+        out = np.empty(v.shape, v.dtype if v.dtype.kind == "f" else np.float64)
+    return np.greater_equal(v, 0, out=out)
 
 
-def ternary_threshold(v, v_thr):
-    """+1 where v >= v_thr, -1 where v <= -v_thr, else 0."""
+def ternary_threshold(v, v_thr, out=None):
+    """+1 where v >= v_thr, -1 where v <= -v_thr, else 0; written into out if given."""
     v = np.asarray(v)
     dtype = v.dtype if v.dtype.kind == "f" else np.float64
-    return np.subtract(v >= v_thr, v <= -v_thr, dtype=dtype)
+    return np.subtract(v >= v_thr, v <= -v_thr, dtype=dtype, out=out)
 
 
 def surrogate_grad(v, alpha):
@@ -134,24 +137,21 @@ def spike_grad(v, mode, alpha, v_thr, centering):
     return surrogate_grad_ternary(v, alpha, v_thr, centering)
 
 
-def _into(op, a, b):
-    """op(a, b), written over a (an array lif_step allocated) when b has a's
-    dtype; otherwise, or when a is a numpy scalar, a new result, so a
-    mixed-dtype step promotes as a + b would. Either way the values and
-    dtype are those of op(a, b)."""
-    in_place = isinstance(a, np.ndarray) and a.dtype == b.dtype
-    return op(a, b, out=a if in_place else None)
-
-
 def lif_step(prev, input_psp, params, mode=BINARY, soft=False, alpha=2.0,
-             v_thr=0.1, centering=CENTER_ZERO):
+             v_thr=0.1, centering=CENTER_ZERO, out=None):
     """One update/fire/reset cycle.
 
     input_psp is the already-weighted postsynaptic drive. v_thr is the firing
     threshold (+/-v_thr in ternary mode), alpha the soft-spike sharpness. Returns
     (spikes, next_state); next_state stores the pre-reset membrane potential,
-    the reset taking effect at the following step via (1 - |spk|). The
-    updates run in place on the arrays the step allocates; prev is not written.
+    the reset taking effect at the following step via (1 - |spk|).
+
+    out, when given, is the NeuronState the step writes: its spk, isc and v
+    arrays receive the spikes, current and potential, and it is returned as
+    next_state. Its isc and v may be prev's own (an update in place); its spk
+    is scratch until the spikes are made, so it must not be prev.v or prev.isc.
+    Without out, the step allocates arrays of the dtypes the update promotes
+    to, and prev is not written.
     """
     input_psp = np.asarray(input_psp)
     shape = input_psp.shape
@@ -159,15 +159,22 @@ def lif_step(prev, input_psp, params, mode=BINARY, soft=False, alpha=2.0,
         raise DimensionError(
             f"state shape {prev.v.shape} does not match drive shape {input_psp.shape}"
         )
-    isc = _into(np.add, params.w_scd * prev.isc, input_psp)
-    keep = 1.0 - np.abs(prev.spk)
-    v = _into(np.multiply, params.w_vd * prev.v, keep)
-    del keep  # one step-sized array fewer while the spikes are made
-    v = _into(np.add, v, isc)
+    if out is None:
+        isc_dtype = np.result_type(np.asarray(params.w_scd), prev.isc, input_psp)
+        v_dtype = np.result_type(np.asarray(params.w_vd), prev.v, prev.spk, isc_dtype)
+        out = NeuronState(spk=np.empty(shape, v_dtype), isc=np.empty(shape, isc_dtype),
+                          v=np.empty(shape, v_dtype))
+    isc = np.multiply(params.w_scd, prev.isc, out=out.isc)
+    isc += input_psp
+    keep = np.abs(prev.spk, out=out.spk)
+    np.subtract(1.0, keep, out=keep)
+    v = np.multiply(params.w_vd, prev.v, out=out.v)
+    v *= keep
+    v += isc
     if soft:
-        spk = soft_spike(v, mode, alpha, v_thr, centering)
+        out.spk[...] = soft_spike(v, mode, alpha, v_thr, centering)
     elif mode == TERNARY:
-        spk = ternary_threshold(v, v_thr)
+        ternary_threshold(v, v_thr, out=out.spk)
     else:
-        spk = heaviside(v - v_thr)
-    return spk, NeuronState(spk=spk, isc=isc, v=v)
+        heaviside(np.subtract(v, v_thr, out=out.spk), out=out.spk)
+    return out.spk, out

@@ -380,7 +380,7 @@ def predict(examples, table, net, net_cfg, batch_size=8):
     The one inference loop: batches run one at a time in batchify's length
     order, each through one forward call, made on the calling thread, that
     keeps no trace. Inside that call a batch at or above layers'
-    SPLIT_MIN_ELEMENTS runs half its rows on a worker thread.
+    SPLIT_MIN_ELEMENTS runs part of its rows on a worker thread.
     """
     from .data import batchify
     from .metrics import decode_bio

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -258,6 +259,38 @@ def test_generated_table_has_the_unk_of_its_written_and_loaded_copy(tmp_path, di
     assert loaded.matrix[:-1].tobytes() == table.matrix[:-1].tobytes()
     assert loaded.unk.dtype == table.unk.dtype == np.float32
     assert loaded.unk.tobytes() == table.unk.tobytes()
+
+
+@pytest.mark.parametrize("announced", [3, 0, 1, -5, 10**12])
+def test_a_wrong_header_count_only_sizes_the_parse(tmp_path, announced):
+    # the count sizes the matrix the chunks are written into, capped by the
+    # file's size; a short count grows it, and the table is the same either way
+    body = "a 1 2\nb 3 4\na 5 6\nc 7 8\n"
+    plain = load_embeddings(write(tmp_path, "plain.txt", body))
+    headed = load_embeddings(write(tmp_path, "headed.txt", f"{announced} 2\n" + body))
+    assert headed.matrix.shape == plain.matrix.shape == (4, 2)
+    assert headed.matrix.tobytes() == plain.matrix.tobytes()
+    assert headed.duplicate_tokens == 1
+
+
+@pytest.mark.parametrize("header", [True, False], ids=["counted", "grown"])
+def test_parse_peak_is_about_one_table(tmp_path, monkeypatch, header):
+    # each parsed chunk is written into the one table matrix; holding every
+    # chunk until a final concatenate peaked at 2.5 matrices on this table
+    monkeypatch.setattr(data, "CHUNK_LINES", 256)
+    vocab, dim = 4000, 256
+    values = np.random.default_rng(0).integers(-999, 1000, size=(vocab, dim)) / 100
+    lines = [f"{vocab} {dim}"] if header else []
+    lines += [f"w{i} " + " ".join(map(str, row)) for i, row in enumerate(values.tolist())]
+    path = write(tmp_path, "emb.txt", "\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        table = load_embeddings(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.matrix[:-1].tobytes() == values.astype(np.float32).tobytes()
+    assert peak < 1.75 * table.matrix.nbytes
 
 
 def two_sentence_examples():

@@ -1,5 +1,6 @@
 import dataclasses
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from spiketag.layers import (
     spiking_conv_step,
     weighted_spikes,
 )
+from spiketag.data import batchify
 from spiketag.metrics import decode_bio
 from spiketag.neuron import NeuronParams, ternary_threshold
 from spiketag.tensorops import conv1d_same
@@ -416,6 +418,91 @@ def test_a_failing_half_raises_from_forward_and_leaves_no_thread(monkeypatch,
     on_caller = str(failed.value) == threading.current_thread().name
     assert on_caller == (failing_rows == 16)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("mode", ["ternary", "binary"])
+def test_split_of_a_sorted_batch_trims_each_part_and_matches_the_serial_forward(
+        monkeypatch, toy_corpus, toy_table, mode):
+    # one batch of 32 sentences of 3 to 17 tokens, sorted as inference batches
+    # are; T=6 keeps each part's decoder GEMM in the row-count range where
+    # OpenBLAS rounds a row the same way whatever the row count
+    monkeypatch.setattr(layers, "USABLE_CORES", 2)
+    ordered = sorted(toy_corpus, key=lambda ex: len(ex.tokens))
+    examples = ordered[::len(ordered) // 32][:32]
+    (batch,) = batchify(examples, toy_table, 32)
+    lengths = batch.mask.sum(axis=1).astype(int)
+    b, r = batch.mask.shape
+    cfg = NetworkConfig(embedding_dim=toy_table.dim, channels=128, n_spiking_conv=1,
+                        spike_mode=mode)
+    assert b * r * cfg.channels >= layers.SPLIT_MIN_ELEMENTS
+    assert (lengths[0], lengths[-1]) == (3, r) and np.all(np.diff(lengths) >= 0)
+    net = full_net(cfg, dtype=np.float32)
+    rng = np.random.default_rng(9)
+    for layer in (net[0], net[-1]):  # drive padded positions; decode them to non-uniform
+        layer.bias[...] = rng.normal(scale=0.5, size=layer.bias.shape)
+    traced_prob, traced = forward(batch.embeddings, net, cfg, mask=batch.mask)
+
+    parts = []  # (thread, embeddings shape) of every encode_step call
+    real = layers.encode_step
+
+    def spy(embeddings, *args, **kwargs):
+        parts.append((threading.get_ident(), embeddings.shape))
+        return real(embeddings, *args, **kwargs)
+
+    monkeypatch.setattr(layers, "encode_step", spy)
+    prob, trace = forward(batch.embeddings, net, cfg, mask=batch.mask, keep_trace=False)
+    assert np.array_equal(prob, traced_prob)
+    assert np.array_equal(trace.probs_t, traced.probs_t)
+
+    (h, first_len, _), = [shape for thread, shape in parts
+                           if thread == threading.get_ident()]
+    (rest, second_len, _), = [shape for thread, shape in parts
+                              if thread != threading.get_ident()]
+    assert h + rest == b
+    assert first_len == lengths[:h].max() < r and second_len == lengths[h:].max()
+
+    def work(split):
+        return max(split * lengths[:split].max(), (b - split) * lengths[split:].max())
+
+    assert work(h) == min(work(split) for split in range(1, b)) < work(b // 2)
+
+
+@pytest.mark.parametrize("empty_from", [0, 20], ids=["all-rows", "last-rows"])
+def test_split_runs_rows_without_a_real_position(monkeypatch, empty_from):
+    # a row whose mask is all zero has no real length; its part still runs
+    # one position, and every position matches the traced serial forward
+    monkeypatch.setattr(layers, "USABLE_CORES", 2)
+    cfg = NetworkConfig(embedding_dim=4, channels=128, n_spiking_conv=1)
+    net = full_net(cfg, dtype=np.float32)
+    net[-1].bias[...] = [0.3, -0.2, 0.1]
+    emb = np.random.default_rng(5).normal(size=(32, 8, 4)).astype(np.float32)
+    mask = np.ones((32, 8), dtype=np.float32)
+    mask[empty_from:] = 0.0
+    traced_prob, traced = forward(emb, net, cfg, mask=mask)
+    prob, trace = forward(emb, net, cfg, mask=mask, keep_trace=False)
+    assert np.array_equal(prob, traced_prob)
+    assert np.array_equal(trace.probs_t, traced.probs_t)
+
+
+@pytest.mark.parametrize("with_mask", [False, True])
+def test_ternary_weighting_holds_at_most_two_new_blocks(with_mask):
+    rng = np.random.default_rng(2)
+    spk = rng.integers(-1, 2, size=(6, 16, 32, 128)).astype(np.float32)
+    mask = (rng.uniform(size=(16, 32)) < 0.8).astype(np.float32) if with_mask else None
+    neuron = NeuronParams(w_scd=None, w_vd=None, w_fv_pos=np.asarray(0.7, np.float32),
+                          w_fv_neg=np.asarray(1.3, np.float32))
+    tracemalloc.start()
+    try:
+        wspk = weighted_spikes(spk, neuron, "ternary", mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.1 * spk.nbytes
+    expected = (neuron.w_fv_pos * np.maximum(spk, 0.0)
+                + neuron.w_fv_neg * np.minimum(spk, 0.0))
+    if with_mask:
+        expected *= mask[:, :, None]
+    assert wspk.tobytes() == expected.tobytes()
 
 
 def test_init_network_structure_and_defaults():

@@ -5,9 +5,10 @@ refactor that renames or removes one of them would break the traced run
 without failing any other test, so every binding is checked here, as are
 the argument identities its per-layer forward and backward attribution rely
 on: the layer object each forward step receives, the kernels each input-grad
-conv receives and the potential each spike_grad call receives. So is the
-shape of an inference pass its end-to-end clock reads: one training.forward
-call per batch, on the calling thread, with the mask passed by keyword.
+conv receives and the potential each spike_grad call receives. So are the
+lif_step calls its step counts read, and the shape of an inference pass its
+end-to-end clock reads: one training.forward call per batch, on the calling
+thread, with the mask passed by keyword.
 """
 
 import importlib.util
@@ -99,6 +100,34 @@ def test_backward_passes_spike_grad_the_trace_potentials_deepest_first(monkeypat
                 for t in range(cfg.time_steps - 1, -1, -1)]
     assert len(seen) == len(expected) == 3 * cfg.time_steps
     assert all(got is want for got, want in zip(seen, expected))
+
+
+@pytest.mark.parametrize("keep_trace, split", [(True, False), (False, False),
+                                                (False, True)],
+                         ids=["traced", "untraced", "untraced-split"])
+def test_forward_calls_lif_step_once_per_step_of_each_spiking_layer(
+        monkeypatch, keep_trace, split):
+    # the tracer's neuron.lif_step counts read these calls: T per spiking
+    # layer (the encoder and each spiking conv), per part of a split batch
+    monkeypatch.setattr(layers, "USABLE_CORES", 2)
+    cfg = NetworkConfig(time_steps=3, channels=128, kernel=3, n_spiking_conv=2,
+                        embedding_dim=5)
+    net = init_network(cfg, np.random.default_rng(0), dtype=np.float32)
+    rows = 64 if split else 8
+    emb = np.random.default_rng(1).normal(size=(rows, 4, 5)).astype(np.float32)
+    assert (rows * 4 * cfg.channels >= layers.SPLIT_MIN_ELEMENTS) == split
+    drives = spy_on(monkeypatch, layers, "lif_step", 1)
+    _, trace = forward(emb, net, cfg, mask=np.ones((rows, 4), np.float32),
+                       keep_trace=keep_trace)
+    parts = 2 if split else 1
+    assert len(drives) == parts * (cfg.n_spiking_conv + 1) * cfg.time_steps
+    if keep_trace:
+        # every potential the backward pass hands spike_grad is its own array,
+        # so the tracer's id -> layer map cannot confuse two steps or layers
+        potentials = [v for per_layer in trace.v for v in per_layer]
+        assert len({id(v) for v in potentials}) == len(potentials)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(potentials)
+                       for b in potentials[i + 1:])
 
 
 @pytest.mark.parametrize("channels, batch_size, n_examples, split", [
