@@ -7,6 +7,7 @@ failure.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -187,9 +188,13 @@ def cmd_predict(args):
 
 
 def cmd_energy(args):
+    flops = args.dnn_flops
+    # copysign: "-0" would print as "-0.0000 mJ"
+    if flops is not None and not (math.isfinite(flops) and math.copysign(1.0, flops) > 0):
+        raise ConfigError(f"--dnn-flops must be a finite, non-negative count, got {flops}")
     cfg = effective_config(args)
-    if args.dnn_flops is not None:
-        print(f"{dnn_energy(args.dnn_flops) * 1e3:.4f} mJ")
+    if flops is not None:
+        print(f"{dnn_energy(flops) * 1e3:.4f} mJ")
         return EXIT_OK
     corpus, table = load_dataset(cfg)
     net, net_cfg = load_model(cfg, table)

@@ -60,10 +60,6 @@ class EmbeddingTable:
             return len(self.rows)
         return i
 
-    def lookup(self, token):
-        """The vector `row` resolves `token` to, a row view of `matrix`."""
-        return self.matrix[self.row(token)]
-
 
 @dataclass
 class Batch:

@@ -11,8 +11,6 @@ recomputed from the counts).
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .layers import N_CLASSES, forward
 
 ENERGY_PER_SOP = 77e-15
@@ -72,17 +70,11 @@ def flops_fc(u, u_prev):
     return float(u) * u_prev * 2.0
 
 
-def spike_counts(spikes, mask=None):
-    """(nonzero, negative, neuron-timesteps) of one layer's spike block.
-
-    spikes is (T, B, R, C), or a per-timestep sequence of (B, R, C) maps;
-    mask (B, R) restricts every count to real token positions.
-    """
-    spikes = np.asarray(spikes)
+def spike_counts(spikes, mask):
+    """(nonzero, negative, neuron-timesteps) of one layer's (T, B, R, C) spike
+    block, counted at the real token positions of the (B, R) mask."""
     nonzero = (spikes != 0).sum(axis=(0, 3))  # per token position
     negative = (spikes < 0).sum(axis=(0, 3))
-    if mask is None:
-        return float(nonzero.sum()), float(negative.sum()), float(spikes.size)
     neurons = float(mask.sum()) * spikes.shape[0] * spikes.shape[3]
     return float((nonzero * mask).sum()), float((negative * mask).sum()), neurons
 

@@ -82,11 +82,6 @@ class NetworkConfig:
     embedding_dim: int = 0  # 0 = take from the embedding table
     surrogate_centering: str = CENTER_ZERO
 
-    @property
-    def padding(self):
-        # length-preserving for odd kernels at stride 1
-        return (self.kernel - 1) // 2
-
     def validate(self):
         if self.time_steps < 1:
             raise ConfigError(f"time_steps must be >= 1, got {self.time_steps}")
@@ -234,7 +229,7 @@ def encode_step(embeddings, layer, cfg, soft=False, keep_trace=True):
     The embeddings are presented unchanged at every step, so the drive is
     one convolution reused at each t. Returns the NeuronState of _lif_scan.
     """
-    drive = conv1d_same(embeddings, layer.kernels, layer.bias, padding=cfg.padding)
+    drive = conv1d_same(embeddings, layer.kernels, layer.bias)
     drive = np.broadcast_to(drive, (cfg.time_steps,) + drive.shape)
     return _lif_scan(drive, layer.neuron, cfg, soft, keep_trace)
 
@@ -254,8 +249,7 @@ def spiking_conv_step(in_spikes, layer, cfg, mask=None, soft=False, checked=Fals
     t_steps, b, r, c = in_spikes.shape
     wspk = weighted_spikes(in_spikes, layer.neuron, cfg.spike_mode, mask)
     del in_spikes
-    drive = conv1d_same(wspk.reshape(t_steps * b, r, c), layer.kernels, layer.bias,
-                        padding=cfg.padding)
+    drive = conv1d_same(wspk.reshape(t_steps * b, r, c), layer.kernels, layer.bias)
     del wspk  # freed before the scan allocates this layer's states
     return _lif_scan(drive.reshape(t_steps, b, r, -1), layer.neuron, cfg, soft,
                      keep_trace)

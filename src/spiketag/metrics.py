@@ -50,16 +50,6 @@ def extract_spans(labels):
     return spans
 
 
-def render_bio(spans, length):
-    """Canonical BIO sequence for a non-overlapping span set."""
-    labels = ["O"] * length
-    for start, end in spans:
-        labels[start] = "B"
-        for i in range(start + 1, end + 1):
-            labels[i] = "I"
-    return labels
-
-
 def span_counts(gold, pred):
     gold_set = set(gold)
     pred_set = set(pred)

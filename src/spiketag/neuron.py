@@ -94,19 +94,6 @@ def surrogate_grad(v, alpha):
     return (alpha / 2.0) / (1.0 + z * z)
 
 
-def surrogate_grad_ternary(v, alpha, v_thr, centering=CENTER_ZERO):
-    """Pseudo-gradient for the ternary firing rule.
-
-    centering="zero" is the single zero-centered bump (the same curve the
-    binary rule uses); centering="threshold" sums bumps at both firing
-    thresholds. The threshold-centered form is this artifact's construction.
-    """
-    if centering == CENTER_ZERO:
-        return surrogate_grad(v, alpha)
-    v = np.asarray(v)
-    return surrogate_grad(v - v_thr, alpha) + surrogate_grad(v + v_thr, alpha)
-
-
 def atan_sigmoid(v, alpha):
     """(1/pi) * arctan(pi/2 * alpha * v) + 1/2; spans (0, 1), derivative surrogate_grad."""
     return np.arctan((math.pi / 2.0) * alpha * np.asarray(v)) / math.pi + 0.5
@@ -129,12 +116,19 @@ def soft_spike(v, mode, alpha, v_thr, centering):
 
 
 def spike_grad(v, mode, alpha, v_thr, centering):
-    """Surrogate d(spk)/dv used in the backward pass, per mode and centering."""
+    """Surrogate d(spk)/dv used in the backward pass.
+
+    Zero centering is one bump at 0, in either mode. Threshold centering is a
+    bump at +v_thr, plus one at -v_thr in ternary mode; the threshold-centered
+    ternary form is this package's own construction.
+    """
+    if centering == CENTER_ZERO:
+        return surrogate_grad(v, alpha)
+    v = np.asarray(v)
+    above = surrogate_grad(v - v_thr, alpha)
     if mode == BINARY:
-        if centering == CENTER_ZERO:
-            return surrogate_grad(v, alpha)
-        return surrogate_grad(np.asarray(v) - v_thr, alpha)
-    return surrogate_grad_ternary(v, alpha, v_thr, centering)
+        return above
+    return above + surrogate_grad(v + v_thr, alpha)
 
 
 def lif_step(prev, input_psp, params, mode=BINARY, soft=False, alpha=2.0,

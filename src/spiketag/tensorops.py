@@ -5,9 +5,9 @@ inference run in float32; gradient checking runs the same code in float64.
 No sparse storage: spikes are kept dense and sparsity is accounted for
 analytically by the energy module.
 
-The convolutions are same-length only: odd K, padding (K-1)//2, stride 1,
-so every sequence keeps its length R (NetworkConfig.padding); any other
-geometry is a ConfigError. They take (Cout, Cin, K) kernels and, on every
+The convolutions are same-length only: odd K, stride 1, and the padding
+(K-1)//2 they derive from K, so every sequence keeps its length R; an even
+K is a ConfigError. They take (Cout, Cin, K) kernels and, on every
 call, pack them tap-major and contiguous, so each of the K per-tap products
 is one BLAS GEMM over all B*R rows (a strided kernels[:, :, m] view cannot
 be handed to BLAS). Nothing is cached: the optimizer updates kernels in
@@ -24,12 +24,11 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 
 
-def _check_same_length(k, padding):
-    if k < 1 or k % 2 == 0 or padding != (k - 1) // 2:
-        raise ConfigError(
-            f"convolutions are same-length only: kernel size {k} must be odd "
-            f"and padding {padding} must be (K-1)//2"
-        )
+def _same_padding(k):
+    """The padding (K-1)//2 that keeps a sequence's length; K must be odd."""
+    if k < 1 or k % 2 == 0:
+        raise ConfigError(f"convolutions are same-length only: kernel size {k} must be odd")
+    return (k - 1) // 2
 
 
 def _shifted_tap_sum(rows, taps, r, shifts):
@@ -58,13 +57,12 @@ def _shifted_tap_sum(rows, taps, r, shifts):
     return out
 
 
-def conv1d_same(x, kernels, bias, padding=2):
-    """Same-length sequence convolution with zero padding, stride 1.
+def conv1d_same(x, kernels, bias):
+    """Same-length sequence convolution with zero padding (K-1)//2, stride 1.
 
     x:       (B, R, Cin)
     kernels: (Cout, Cin, K), K odd
     bias:    (Cout,)
-    padding: (K-1)//2
     returns  (B, R, Cout);
     out[i,j,k] = sum_{l,m} x[i, j+m-padding, l] * kernels[k,l,m] + bias[k],
     out-of-range taps read as zero.
@@ -82,7 +80,7 @@ def conv1d_same(x, kernels, bias, padding=2):
         raise DimensionError(f"kernel input channels {k_cin} != input channels {cin}")
     if bias.shape != (cout,):
         raise DimensionError(f"bias shape {bias.shape} != ({cout},)")
-    _check_same_length(k, padding)
+    padding = _same_padding(k)
     taps = np.ascontiguousarray(kernels.transpose(2, 1, 0))  # (K, Cin, Cout)
     # output row j reads input row j + m - padding through tap m
     out = _shifted_tap_sum(x.reshape(b * r, cin), taps, r,
@@ -91,14 +89,14 @@ def conv1d_same(x, kernels, bias, padding=2):
     return out.reshape(b, r, cout)
 
 
-def conv1d_same_input_grad(d_out, kernels, r, padding=2):
+def conv1d_same_input_grad(d_out, kernels, r):
     """Adjoint of conv1d_same with respect to its input.
 
     d_out: (B, R, Cout) upstream gradient; returns (B, R, Cin).
     """
     b, r_out, cout = d_out.shape
     _, cin, k = kernels.shape
-    _check_same_length(k, padding)
+    padding = _same_padding(k)
     if r_out != r:
         raise DimensionError(f"upstream length {r_out} != input length {r}")
     taps = np.ascontiguousarray(kernels.transpose(2, 0, 1))  # (K, Cout, Cin)
@@ -108,14 +106,14 @@ def conv1d_same_input_grad(d_out, kernels, r, padding=2):
     return d_x.reshape(b, r, cin)
 
 
-def conv1d_same_kernel_grad(x, d_out, k, padding=2):
+def conv1d_same_kernel_grad(x, d_out, k):
     """Adjoint of conv1d_same with respect to the kernels.
 
     x: (B, R, Cin) forward input; d_out: (B, R, Cout); returns (Cout, Cin, K).
     """
     b, r, cin = x.shape
     _, r_out, cout = d_out.shape
-    _check_same_length(k, padding)
+    padding = _same_padding(k)
     if r_out != r:
         raise DimensionError(f"upstream length {r_out} != input length {r}")
     d_rows_t = d_out.reshape(b * r, cout).T

@@ -96,15 +96,13 @@ def token_weights(labels, mask):
     return mask / (n * safe)
 
 
-def _labeled_scores(prob_class, labels, mask, prob_scale):
+def _labeled_scores(prob_class, labels, mask):
     """What the loss and its adjoint share: the int64 labels, the token
-    weights, the labeled-class scores (divided by prob_scale when given; in
-    float32 floored at 1e-12) and the mask of scores on that floor."""
+    weights, the labeled-class scores (in float32 floored at 1e-12) and the
+    mask of scores on that floor."""
     labels = np.asarray(labels, dtype=np.int64)
     w = token_weights(labels, mask).astype(prob_class.dtype)
     p_true = np.take_along_axis(prob_class, labels[:, :, None], axis=2)[:, :, 0]
-    if prob_scale is not None:
-        p_true = p_true / prob_scale
     floored = (prob_class.dtype == np.float32) & (p_true < PROB_FLOOR_32)
     if prob_class.dtype == np.float32:
         p_true = np.maximum(p_true, PROB_FLOOR_32)
@@ -113,26 +111,23 @@ def _labeled_scores(prob_class, labels, mask, prob_scale):
     return labels, w, p_true, floored
 
 
-def cross_entropy(prob_class, labels, mask, prob_scale=None):
+def cross_entropy(prob_class, labels, mask):
     """Mean over examples of the per-sentence mean token cross-entropy.
 
     prob_class entries are unnormalized timestep-summed softmax scores, so
     values above 1 are legal (they contribute negative terms). Masked tokens
-    contribute zero. prob_scale optionally divides the scores first (used by
-    the /T-normalization regression test). In float32, scores at a labeled
-    class are floored at 1e-12 before the log.
+    contribute zero. In float32, scores at a labeled class are floored at
+    1e-12 before the log.
     """
-    _, w, p_true, _ = _labeled_scores(np.asarray(prob_class), labels, mask, prob_scale)
+    _, w, p_true, _ = _labeled_scores(np.asarray(prob_class), labels, mask)
     return float(-(w * np.log(p_true)).sum())
 
 
-def _prob_adjoint(prob, labels, mask, prob_scale):
+def _prob_adjoint(prob, labels, mask):
     """dL/dprob_class for the masked mean cross-entropy."""
-    labels, w, p_true, floored = _labeled_scores(prob, labels, mask, prob_scale)
-    # d(-log(p/s))/dp = -(1/(p/s)) * (1/s); the floor's clip has zero slope
+    labels, w, p_true, floored = _labeled_scores(prob, labels, mask)
+    # d(-log p)/dp = -1/p; the floor's clip has zero slope
     d = -w / p_true
-    if prob_scale is not None:
-        d = d / prob_scale
     d = np.where(floored, 0.0, d)
     g = np.zeros_like(prob)
     np.put_along_axis(g, labels[:, :, None], d[:, :, None], axis=2)
@@ -178,7 +173,7 @@ def _adjoint_scan(trace, li, d_spk, neuron, cfg, grads):
     return d_spk
 
 
-def backward(trace, labels, mask, net, cfg: NetworkConfig, prob_scale=None):
+def backward(trace, labels, mask, net, cfg: NetworkConfig):
     """Gradients of the batch loss for every trainable parameter.
 
     trace must come from forward() on the same batch and parameters. Layers
@@ -198,7 +193,7 @@ def backward(trace, labels, mask, net, cfg: NetworkConfig, prob_scale=None):
     mask_col = None if trace.mask is None else trace.mask[:, :, None]
 
     grads = zero_gradients(net)
-    g_prob = _prob_adjoint(trace.prob_class, labels, mask, prob_scale)
+    g_prob = _prob_adjoint(trace.prob_class, labels, mask)
 
     # output decoder: each timestep's softmax feeds prob_class additively.
     # It reads masked spikes, so masking d_logits covers both of its products.
@@ -222,12 +217,11 @@ def backward(trace, labels, mask, net, cfg: NetworkConfig, prob_scale=None):
         spk_in = trace.spk[li - 1]
         wspk = weighted_spikes(spk_in, neuron, mode, trace.mask)
         grads[f"{li}.kernels"] += conv1d_same_kernel_grad(
-            wspk.reshape(rows, r, -1), d_drive.reshape(rows, r, -1),
-            layer.kernels.shape[2], padding=cfg.padding,
+            wspk.reshape(rows, r, -1), d_drive.reshape(rows, r, -1), layer.kernels.shape[2]
         )
         del wspk
         d_wspk = conv1d_same_input_grad(
-            d_drive.reshape(rows, r, -1), layer.kernels, r, padding=cfg.padding
+            d_drive.reshape(rows, r, -1), layer.kernels, r
         ).reshape(spk_in.shape)
         del d_drive, d_spk  # from here on only the next layer's adjoint is kept
         if mask_col is not None:
@@ -247,7 +241,7 @@ def backward(trace, labels, mask, net, cfg: NetworkConfig, prob_scale=None):
     d_drive = _adjoint_scan(trace, 0, d_spk, enc.neuron, cfg, grads)
     grads["0.bias"] += d_drive.sum(axis=(0, 1, 2))
     grads["0.kernels"] += conv1d_same_kernel_grad(
-        trace.embeddings, d_drive.sum(axis=0), enc.kernels.shape[2], padding=cfg.padding
+        trace.embeddings, d_drive.sum(axis=0), enc.kernels.shape[2]
     )
     return grads
 
@@ -414,12 +408,13 @@ def tiny_gradcheck_config(mode=TERNARY, centering="zero"):
     )
 
 
-def grad_check(net_cfg: NetworkConfig, seed=0, h=1e-5):
+def grad_check(net_cfg: NetworkConfig, seed=0):
     """Max relative error between analytic and central-difference gradients.
 
     Runs the soft-spike forward in float64 on a single random three-token
     sentence and perturbs every parameter entry by +/-h.
     """
+    h = 1e-5
     net_cfg.validate()
     rng = np.random.default_rng([seed, 3])
     net = init_network(net_cfg, rng, dtype=np.float64)

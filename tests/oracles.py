@@ -91,6 +91,16 @@ def softmax_closed_form(values):
     return [e / total for e in exps]
 
 
+def render_bio(spans, length):
+    """Canonical BIO sequence for a non-overlapping span set."""
+    labels = ["O"] * length
+    for start, end in spans:
+        labels[start] = "B"
+        for i in range(start + 1, end + 1):
+            labels[i] = "I"
+    return labels
+
+
 def load_embeddings_line_by_line(path):
     """The line-by-line table parser: one float() per value, a running
     float64 sum for unk. Returns the table's parts, not an EmbeddingTable."""

@@ -5,6 +5,7 @@ and asserts its stated runtime budget where one applies. Budgets are wall
 clock on a single desktop core.
 """
 
+import dataclasses
 import os
 import time
 
@@ -50,7 +51,7 @@ def test_c1_gradient_validation():
             present = {n.split(".")[1] for n in named_parameters(net)}
             assert present == set(PARAM_CLASSES)
             for seed in range(5):
-                err = grad_check(cfg, seed=seed, h=1e-5)
+                err = grad_check(cfg, seed=seed)
                 assert err < 1e-4, (mode, centering, seed, err)
                 worst = max(worst, err)
     elapsed = time.monotonic() - t0
@@ -240,7 +241,8 @@ def test_c7_structural_invariants(tmp_path, acceptance_corpus):
     for name in g1:
         assert np.array_equal(g1[name], g2[name])
 
-    # loss/gradient invariance under /T normalization (float64 for 1e-10)
+    # loss/gradient invariance under /T normalization (float64 for 1e-10):
+    # the gradients of the /T-scaled scores are the plain gradients times T
     cfg64 = NetworkConfig(embedding_dim=16, channels=4, n_spiking_conv=1,
                           time_steps=6, spike_mode="ternary")
     net64 = init_network(cfg64, np.random.default_rng(5), dtype=np.float64)
@@ -249,10 +251,11 @@ def test_c7_structural_invariants(tmp_path, acceptance_corpus):
     mask64 = np.ones((2, 5))
     prob64, tr64 = forward(emb64, net64, cfg64, mask=mask64)
     plain = backward(tr64, labels64, mask64, net64, cfg64)
-    scaled = backward(tr64, labels64, mask64, net64, cfg64, prob_scale=6.0)
+    scaled = backward(dataclasses.replace(tr64, prob_class=tr64.prob_class / 6.0),
+                      labels64, mask64, net64, cfg64)
     for name in plain:
-        assert np.allclose(plain[name], scaled[name], atol=1e-10)
-    assert cross_entropy(prob64, labels64, mask64, prob_scale=6.0) == pytest.approx(
+        assert np.allclose(plain[name], scaled[name] / 6.0, atol=1e-10)
+    assert cross_entropy(prob64 / 6.0, labels64, mask64) == pytest.approx(
         cross_entropy(prob64, labels64, mask64) + np.log(6.0), abs=1e-10
     )
 

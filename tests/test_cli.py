@@ -44,6 +44,14 @@ def test_dnn_flops_matches_published_row(capsys):
     assert out.strip().endswith("3.2250 mJ")
 
 
+@pytest.mark.parametrize("flops", ["-1", "-0", "nan", "inf"])
+def test_dnn_flops_must_be_finite_and_not_negative(capsys, flops):
+    code, out, err = run(capsys, "energy", "--dnn-flops", flops)
+    assert code == 1
+    assert out == ""
+    assert "--dnn-flops" in err
+
+
 def test_effective_config_is_echoed_and_flags_override(capsys, tmp_path):
     cfg_path = small_config(tmp_path, seed=5)
     code, out, _ = run(capsys, "energy", "--config", cfg_path,
@@ -163,7 +171,7 @@ def test_inspect_counts_match_trace_recount(capsys, tmp_path):
     table = load_embeddings(TOY_EMB)
     net, net_cfg = restore_network(load(ckpt_path))[0], load(ckpt_path).net_cfg
     tokens = sentence.split()
-    emb = np.stack([table.lookup(t) for t in tokens]).astype(np.float32)[None]
+    emb = table.matrix[[table.row(t) for t in tokens]][None]
     _, trace = forward(emb, net, net_cfg, mask=np.ones((1, len(tokens)), np.float32))
     t_steps = net_cfg.time_steps
     channels = net_cfg.channels

@@ -96,15 +96,15 @@ def test_load_embeddings_basics(tmp_path):
     path = write(tmp_path, "emb.txt", "alpha 1 2 3\nbeta 4 5 6\n")
     table = load_embeddings(path)
     assert table.dim == 3
-    assert np.allclose(table.lookup("alpha"), [1, 2, 3])
-    assert np.allclose(table.lookup("beta"), [4, 5, 6])
+    assert np.allclose(table.matrix[table.row("alpha")], [1, 2, 3])
+    assert np.allclose(table.matrix[table.row("beta")], [4, 5, 6])
 
 
 def test_load_embeddings_header_and_duplicates(tmp_path):
     path = write(tmp_path, "emb.txt", "3 2\nx 1 0\nx 9 9\ny 0 1\n")
     table = load_embeddings(path)
     assert table.dim == 2
-    assert np.allclose(table.lookup("x"), [1, 0])  # first occurrence wins
+    assert np.allclose(table.matrix[table.row("x")], [1, 0])  # first occurrence wins
     assert table.duplicate_tokens == 1
 
 
@@ -113,14 +113,14 @@ def test_unk_is_mean_of_vectors(tmp_path):
     table = load_embeddings(path)
     assert np.allclose(table.unk, [3.0, 1.0])
     before = table.oov_tokens
-    assert np.allclose(table.lookup("never-seen"), [3.0, 1.0])
+    assert np.allclose(table.matrix[table.row("never-seen")], [3.0, 1.0])
     assert table.oov_tokens == before + 1
 
 
 def test_lowercase_fallback(tmp_path):
     path = write(tmp_path, "emb.txt", "word 1 2\n")
     table = load_embeddings(path)
-    assert np.allclose(table.lookup("Word"), [1, 2])
+    assert np.allclose(table.matrix[table.row("Word")], [1, 2])
     assert table.oov_tokens == 0
 
 
@@ -223,8 +223,8 @@ def test_numerals_only_python_reads_take_the_line_by_line_path(tmp_path):
     expected = assert_parses_like_line_by_line(path, 2)
     assert expected[0] == "table"
     table = load_embeddings(path)
-    assert table.lookup("a").tolist() == [10.0, 2.0]
-    assert table.lookup("b").tolist() == [3.0, -40.5]
+    assert table.matrix[table.row("a")].tolist() == [10.0, 2.0]
+    assert table.matrix[table.row("b")].tolist() == [3.0, -40.5]
 
 
 def test_single_column_unk_is_the_running_sum_not_the_pairwise_one(tmp_path):
@@ -366,7 +366,7 @@ def test_batchify_inference_order_sorts_by_length_and_indexes_rows(toy_corpus, t
             ex = examples[i]
             n = len(ex.tokens)
             assert b.mask[row].sum() == n
-            expected = np.stack([toy_table.lookup(t) for t in ex.tokens])
+            expected = toy_table.matrix[[toy_table.row(t) for t in ex.tokens]]
             assert np.array_equal(b.embeddings[row, :n], expected)
             assert b.labels[row, :n].tolist() == [LABEL_TO_ID[lab] for lab in ex.labels]
 

@@ -39,30 +39,30 @@ def test_flops_fc_cases():
     assert flops_fc(3, 128) == 768
 
 
-# the firing rate gamma is nonzero / neurons of spike_counts
+# the firing rate gamma is nonzero / neurons of spike_counts, which reads a
+# (T, B, R, C) block and a (B, R) mask
 def test_firing_rate_silent_and_saturated():
     t = 6
-    silent = [np.zeros((1, 2, 3)) for _ in range(t)]
-    nonzero, _, neurons = spike_counts(silent)
+    mask = np.ones((1, 2))
+    nonzero, _, neurons = spike_counts(np.zeros((t, 1, 2, 3)), mask)
     assert nonzero == 0.0 and neurons == 36.0
-    full = [np.ones((1, 2, 3)) for _ in range(t)]
-    nonzero, _, neurons = spike_counts(full)
+    nonzero, _, neurons = spike_counts(np.ones((t, 1, 2, 3)), mask)
     assert nonzero / neurons == 1.0
 
 
 def test_firing_rate_counts_negative_spikes():
     t = 6
-    trace = [np.full((1, 1, 1), -1.0) if i < 3 else np.zeros((1, 1, 1))
-             for i in range(t)]
-    nonzero, _, neurons = spike_counts(trace)
+    spikes = np.zeros((t, 1, 1, 1))
+    spikes[:3] = -1.0
+    nonzero, _, neurons = spike_counts(spikes, np.ones((1, 1)))
     assert nonzero / neurons == pytest.approx(0.5)
 
 
 def test_firing_rate_respects_mask():
     t = 2
-    spk = np.asarray([[[1.0], [1.0]]])
+    spikes = np.ones((t, 1, 2, 1))
     mask = np.asarray([[1.0, 0.0]])
-    nonzero, _, neurons = spike_counts([spk] * t, mask)
+    nonzero, _, neurons = spike_counts(spikes, mask)
     assert nonzero / neurons == 1.0
 
 

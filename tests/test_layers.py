@@ -85,7 +85,7 @@ def test_first_step_spikes_equal_thresholded_drive():
                         time_steps=1, spike_mode="binary")
     layer = make_encoding_layer(3, 4, 3, rng)
     emb = rng.normal(size=(2, 5, 4))
-    drive = conv1d_same(emb, layer.kernels, layer.bias, padding=1)
+    drive = conv1d_same(emb, layer.kernels, layer.bias)
     spk = encode_step(emb, layer, cfg).spk[0]
     assert np.array_equal(spk, (drive - 0.1 >= 0).astype(float))
 
@@ -571,7 +571,7 @@ def reference_forward(emb, net, cfg, mask):
                 n = layer.neuron
                 w_neg = n.w_fv_pos if cfg.spike_mode == "binary" else n.w_fv_neg
                 x = np.where(x > 0, float(n.w_fv_pos) * x, float(w_neg) * x)
-            drive = conv1d_naive(x, layer.kernels, layer.bias, cfg.padding)
+            drive = conv1d_naive(x, layer.kernels, layer.bias, (cfg.kernel - 1) // 2)
             for i in range(b):
                 for j in range(r):
                     for c in range(cfg.channels):

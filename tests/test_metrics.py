@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import render_bio
 from spiketag.metrics import (
     decode_bio,
     extract_spans,
     format_report,
-    render_bio,
     span_f1,
 )
 

@@ -14,8 +14,8 @@ from spiketag.neuron import (
     heaviside,
     lif_step,
     soft_spike,
+    spike_grad,
     surrogate_grad,
-    surrogate_grad_ternary,
     ternary_threshold,
 )
 
@@ -145,23 +145,38 @@ def test_surrogate_integrates_to_sigmoid_mass():
     # it is the derivative of the arctangent sigmoid, which spans (0, 1);
     # the exact mass on [-50, 50] is 1 minus the ~4.1e-3 arctan tails
     v = np.linspace(-50, 50, 400001)
-    total = np.trapezoid(surrogate_grad(v, 2.0), v)
+    g = surrogate_grad(v, 2.0)
+    total = float(((g[1:] + g[:-1]) * np.diff(v)).sum() / 2.0)  # trapezoid rule
     exact = atan_sigmoid(50.0, 2.0) - atan_sigmoid(-50.0, 2.0)
     assert abs(total - exact) < 1e-6
     assert abs(total - 1.0) < 5e-3
 
 
 def test_surrogate_ternary_centerings():
-    assert surrogate_grad_ternary(0.0, 2.0, 0.1, "zero") == pytest.approx(1.0)
+    assert spike_grad(0.0, "ternary", 2.0, 0.1, "zero") == pytest.approx(1.0)
     expected = 2.0 * surrogate_grad(0.1, 2.0)
-    assert surrogate_grad_ternary(0.0, 2.0, 0.1, "threshold") == pytest.approx(expected)
+    assert spike_grad(0.0, "ternary", 2.0, 0.1, "threshold") == pytest.approx(expected)
     # closed form: 2 / (1 + (pi/10)^2)
     assert expected == pytest.approx(2.0 / (1.0 + (math.pi / 10.0) ** 2), abs=1e-12)
     assert expected == pytest.approx(1.82034, abs=1e-4)
     for v in (0.03, 0.4, 2.0):
-        assert surrogate_grad_ternary(v, 2.0, 0.1, "threshold") == pytest.approx(
-            surrogate_grad_ternary(-v, 2.0, 0.1, "threshold")
+        assert spike_grad(v, "ternary", 2.0, 0.1, "threshold") == pytest.approx(
+            spike_grad(-v, "ternary", 2.0, 0.1, "threshold")
         )
+
+
+@pytest.mark.parametrize("mode", ["binary", "ternary"])
+@pytest.mark.parametrize("centering", ["zero", "threshold"])
+def test_spike_grad_keeps_float32(mode, centering):
+    # the adjoint scan hands spike_grad the float32 potentials of trace.v
+    v = np.random.default_rng(5).normal(scale=0.5, size=(2, 3, 4)).astype(np.float32)
+    assert spike_grad(v, mode, 2.0, 0.1, centering).dtype == np.float32
+
+
+def test_spike_grad_threshold_ternary_sums_both_threshold_bumps():
+    v = np.random.default_rng(6).normal(scale=0.5, size=(3, 5)).astype(np.float32)
+    assert np.array_equal(spike_grad(v, "ternary", 2.0, 0.1, "threshold"),
+                          surrogate_grad(v - 0.1, 2.0) + surrogate_grad(v + 0.1, 2.0))
 
 
 def test_soft_spike_derivative_matches_surrogate():
@@ -174,8 +189,6 @@ def test_soft_spike_derivative_matches_surrogate():
                     soft_spike(v + h, mode, 2.0, 0.1, centering)
                     - soft_spike(v - h, mode, 2.0, 0.1, centering)
                 ) / (2 * h)
-                from spiketag.neuron import spike_grad
-
                 assert fd == pytest.approx(
                     float(spike_grad(v, mode, 2.0, 0.1, centering)), rel=1e-6, abs=1e-9
                 )

@@ -47,11 +47,11 @@ def assert_convs_match(x, kernels, bias, d_out):
     k = kernels.shape[2]
     padding = (k - 1) // 2
     r = x.shape[1]
-    assert_same(tensorops.conv1d_same(x, kernels, bias, padding=padding),
+    assert_same(tensorops.conv1d_same(x, kernels, bias),
                 oracles.conv1d_same(x, kernels, bias, padding=padding))
-    assert_same(tensorops.conv1d_same_input_grad(d_out, kernels, r, padding=padding),
+    assert_same(tensorops.conv1d_same_input_grad(d_out, kernels, r),
                 oracles.conv1d_same_input_grad(d_out, kernels, r, padding=padding))
-    assert_same(tensorops.conv1d_same_kernel_grad(x, d_out, k, padding=padding),
+    assert_same(tensorops.conv1d_same_kernel_grad(x, d_out, k),
                 oracles.conv1d_same_kernel_grad(x, d_out, k, padding=padding))
 
 

@@ -20,21 +20,21 @@ def test_zero_input_yields_bias():
     x = np.zeros((2, 6, 3), dtype=np.float32)
     kernels = np.random.default_rng(0).normal(size=(4, 3, 5)).astype(np.float32)
     bias = np.asarray([0.5, -1.0, 2.0, 0.0], dtype=np.float32)
-    out = conv1d_same(x, kernels, bias, padding=2)
+    out = conv1d_same(x, kernels, bias)
     assert out.shape == (2, 6, 4)
     assert np.allclose(out, bias)
 
 
 def test_width_one_kernel_scales():
     x = np.asarray([[[1.0], [2.0], [3.0]]])
-    out = conv1d_same(x, np.asarray([[[2.0]]]), np.asarray([0.0]), padding=0)
+    out = conv1d_same(x, np.asarray([[[2.0]]]), np.asarray([0.0]))
     assert np.allclose(out[0, :, 0], [2.0, 4.0, 6.0])
 
 
 def test_boxcar_matches_sliding_window():
     x = np.asarray([[[1.0], [0.0], [0.0], [1.0]]])
     kernels = np.asarray([[[1.0, 1.0, 1.0]]])
-    out = conv1d_same(x, kernels, np.asarray([0.0]), padding=1)
+    out = conv1d_same(x, kernels, np.asarray([0.0]))
     expected = conv1d_naive(x, kernels, np.asarray([0.0]), padding=1)
     assert np.allclose(out[0, :, 0], [1.0, 1.0, 1.0, 1.0])
     assert np.allclose(out, expected)
@@ -45,12 +45,11 @@ def test_conv_matches_naive_oracle_on_random_shapes():
     for _ in range(25):
         b, r, cin, cout = rng.integers(1, 5, size=4)
         k = 2 * int(rng.integers(0, 4)) + 1
-        padding = (k - 1) // 2
         x = rng.normal(size=(b, r, cin))
         kernels = rng.normal(size=(cout, cin, k))
         bias = rng.normal(size=cout)
-        fast = conv1d_same(x, kernels, bias, padding=padding)
-        slow = conv1d_naive(x, kernels, bias, padding=padding)
+        fast = conv1d_same(x, kernels, bias)
+        slow = conv1d_naive(x, kernels, bias, padding=(k - 1) // 2)
         assert np.allclose(fast, slow, atol=1e-12)
 
 
@@ -58,7 +57,7 @@ def test_length_preserved_for_default_geometry():
     rng = np.random.default_rng(1)
     for r in (1, 2, 7, 83):
         x = rng.normal(size=(1, r, 2))
-        out = conv1d_same(x, rng.normal(size=(3, 2, 5)), np.zeros(3), padding=2)
+        out = conv1d_same(x, rng.normal(size=(3, 2, 5)), np.zeros(3))
         assert out.shape == (1, r, 3)
 
 
@@ -68,36 +67,33 @@ def test_conv_linearity():
     y = rng.normal(size=(2, 6, 3))
     kernels = rng.normal(size=(4, 3, 5))
     zero = np.zeros(4)
-    lhs = conv1d_same(2.5 * x - 1.5 * y, kernels, zero, padding=2)
-    rhs = 2.5 * conv1d_same(x, kernels, zero, padding=2) - 1.5 * conv1d_same(
-        y, kernels, zero, padding=2
-    )
+    lhs = conv1d_same(2.5 * x - 1.5 * y, kernels, zero)
+    rhs = 2.5 * conv1d_same(x, kernels, zero) - 1.5 * conv1d_same(y, kernels, zero)
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
 def test_conv_shape_errors():
     x = np.zeros((1, 4, 2))
     with pytest.raises(DimensionError):
-        conv1d_same(x, np.zeros((3, 5, 3)), np.zeros(3), padding=1)
+        conv1d_same(x, np.zeros((3, 5, 3)), np.zeros(3))
     with pytest.raises(ConfigError):
-        conv1d_same(x, np.zeros((3, 2, 3)), np.zeros(3), padding=3)
+        conv1d_same(x, np.zeros((3, 2, 4)), np.zeros(3))
     with pytest.raises(DimensionError):
-        conv1d_same(x, np.zeros((3, 2, 3)), np.zeros(4), padding=1)
+        conv1d_same(x, np.zeros((3, 2, 3)), np.zeros(4))
 
 
-@pytest.mark.parametrize("k, padding", [(2, 0), (4, 1), (4, 2), (3, 0), (3, 2), (5, 1),
-                                        (1, 1)])
-def test_convs_are_same_length_only(k, padding):
-    # odd K with padding (K-1)//2 is the only geometry; R_out = R
+@pytest.mark.parametrize("k", [0, 2, 4, 6])
+def test_convs_are_same_length_only(k):
+    # odd K, with the padding (K-1)//2 the convs derive, is the only geometry
     b, r, cin, cout = 2, 6, 3, 4
     x, d_out = np.zeros((b, r, cin)), np.zeros((b, r, cout))
     kernels = np.zeros((cout, cin, k))
     with pytest.raises(ConfigError):
-        conv1d_same(x, kernels, np.zeros(cout), padding=padding)
+        conv1d_same(x, kernels, np.zeros(cout))
     with pytest.raises(ConfigError):
-        conv1d_same_input_grad(d_out, kernels, r, padding=padding)
+        conv1d_same_input_grad(d_out, kernels, r)
     with pytest.raises(ConfigError):
-        conv1d_same_kernel_grad(x, d_out, k, padding=padding)
+        conv1d_same_kernel_grad(x, d_out, k)
 
 
 def test_conv_adjoints_match_finite_differences():
@@ -106,12 +102,12 @@ def test_conv_adjoints_match_finite_differences():
     kernels = rng.normal(size=(4, 3, 3))
     bias = np.zeros(4)
     d_out = rng.normal(size=(2, 5, 4))
-    d_x = conv1d_same_input_grad(d_out, kernels, r=5, padding=1)
-    d_k = conv1d_same_kernel_grad(x, d_out, k=3, padding=1)
+    d_x = conv1d_same_input_grad(d_out, kernels, r=5)
+    d_k = conv1d_same_kernel_grad(x, d_out, k=3)
     h = 1e-6
 
     def loss():
-        return float((conv1d_same(x, kernels, bias, padding=1) * d_out).sum())
+        return float((conv1d_same(x, kernels, bias) * d_out).sum())
 
     for arr, grad in ((x, d_x), (kernels, d_k)):
         flat = arr.reshape(-1)
@@ -131,7 +127,6 @@ def conv_cases(draw):
     """Random same-length conv geometry; b reaches the T*B rows the layers
     flatten, and r below K leaves taps that reach no row."""
     k = 2 * draw(st.integers(0, 3)) + 1
-    padding = (k - 1) // 2
     r = draw(st.integers(1, 12))
     b = draw(st.integers(1, 64))
     cin = draw(st.integers(1, 6))
@@ -140,7 +135,7 @@ def conv_cases(draw):
     x = rng.normal(size=(b, r, cin))
     kernels = rng.normal(size=(cout, cin, k))
     y = rng.normal(size=(b, r, cout))
-    return x, kernels, y, padding
+    return x, kernels, y
 
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -150,10 +145,10 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 @given(conv_cases())
 def test_conv_input_grad_is_the_adjoint(case):
     # <conv(x), y> = <x, conv^T(y)> for the input adjoint
-    x, kernels, y, padding = case
+    x, kernels, y = case
     zero = np.zeros(kernels.shape[0])
-    lhs = float((conv1d_same(x, kernels, zero, padding=padding) * y).sum())
-    d_x = conv1d_same_input_grad(y, kernels, x.shape[1], padding=padding)
+    lhs = float((conv1d_same(x, kernels, zero) * y).sum())
+    d_x = conv1d_same_input_grad(y, kernels, x.shape[1])
     assert d_x.shape == x.shape
     assert lhs == pytest.approx(float((x * d_x).sum()), rel=1e-9, abs=1e-9)
 
@@ -162,10 +157,10 @@ def test_conv_input_grad_is_the_adjoint(case):
 @given(conv_cases())
 def test_conv_kernel_grad_is_the_adjoint(case):
     # <conv(x; W), y> = <W, conv_W^T(x, y)> for the kernel adjoint
-    x, kernels, y, padding = case
+    x, kernels, y = case
     zero = np.zeros(kernels.shape[0])
-    lhs = float((conv1d_same(x, kernels, zero, padding=padding) * y).sum())
-    d_k = conv1d_same_kernel_grad(x, y, kernels.shape[2], padding=padding)
+    lhs = float((conv1d_same(x, kernels, zero) * y).sum())
+    d_k = conv1d_same_kernel_grad(x, y, kernels.shape[2])
     assert d_k.shape == kernels.shape
     assert lhs == pytest.approx(float((kernels * d_k).sum()), rel=1e-9, abs=1e-9)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import weakref
 
@@ -60,8 +61,8 @@ def test_cross_entropy_float32_floor_vs_float64_error():
         cross_entropy(np.zeros((1, 1, 3)), np.asarray([[1]]), np.ones((1, 1)))
 
 
-def test_float32_scaled_loss_adjoint_is_the_slope_of_the_loss():
-    # the adjoint must see the same floor as the loss: the scaled score 5e-12 / 6
+def test_float32_floored_loss_adjoint_is_the_slope_of_the_loss():
+    # the adjoint must see the same floor as the loss: the labeled score 5e-13
     # sits below 1e-12, so the loss is flat there and its gradient is 0
     from spiketag.training import _prob_adjoint
 
@@ -69,18 +70,17 @@ def test_float32_scaled_loss_adjoint_is_the_slope_of_the_loss():
     prob = rng.uniform(0.3, 3.0, size=(2, 3, 3)).astype(np.float32)
     labels = np.asarray([[0, 2, 1], [1, 1, 0]])
     mask = np.asarray([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
-    prob[0, 1, 2] = 5e-12
-    scale = 6.0
+    prob[0, 1, 2] = 5e-13
 
-    adjoint = _prob_adjoint(prob, labels, mask, scale)
+    adjoint = _prob_adjoint(prob, labels, mask)
     assert adjoint[0, 1, 2] == 0.0
     for idx in np.ndindex(prob.shape):
         h = prob[idx] * 0.01
         up, down = prob.copy(), prob.copy()
         up[idx] += h
         down[idx] -= h
-        slope = (cross_entropy(up, labels, mask, scale)
-                 - cross_entropy(down, labels, mask, scale)) / float(up[idx] - down[idx])
+        slope = (cross_entropy(up, labels, mask)
+                 - cross_entropy(down, labels, mask)) / float(up[idx] - down[idx])
         assert adjoint[idx] == pytest.approx(slope, rel=1e-2, abs=1e-6), idx
 
 
@@ -218,11 +218,14 @@ def test_gradients_invariant_under_prob_normalization():
     cfg, net, emb, labels, mask = tiny_setup(seed=3, r=3)
     prob, trace = forward(emb, net, cfg, mask=mask)
     plain = backward(trace, labels, mask, net, cfg)
-    scaled = backward(trace, labels, mask, net, cfg, prob_scale=float(cfg.time_steps))
+    # the gradients of the /T-scaled scores are the plain gradients times T
+    t = float(cfg.time_steps)
+    scaled = backward(dataclasses.replace(trace, prob_class=trace.prob_class / t),
+                      labels, mask, net, cfg)
     for name in plain:
-        assert np.allclose(plain[name], scaled[name], atol=1e-10)
+        assert np.allclose(plain[name], scaled[name] / t, atol=1e-10)
     loss_plain = cross_entropy(prob, labels, mask)
-    loss_scaled = cross_entropy(prob, labels, mask, prob_scale=float(cfg.time_steps))
+    loss_scaled = cross_entropy(prob / t, labels, mask)
     assert loss_scaled == pytest.approx(loss_plain + math.log(cfg.time_steps), abs=1e-10)
 
 
