@@ -112,8 +112,6 @@ def cmd_train(args):
     net_cfg = cfg.network.validate()
     train_cfg = cfg.train.validate()
     corpus, table = load_dataset(cfg)
-    if table.dim < 1:
-        raise ParseError("embedding table has width 0", path=cfg.embeddings)
     if net_cfg.embedding_dim and net_cfg.embedding_dim != table.dim:
         raise ConfigError(
             f"configured embedding_dim {net_cfg.embedding_dim} != table dim {table.dim}"

@@ -168,12 +168,15 @@ def load_embeddings(path):
         if line_no == 1 and len(line.split()) == 2:
             try:
                 count, dim = int(parts[0]), int(parts[1])
+            except ValueError:
+                pass
+            else:  # header "count dim"
+                if dim < 1:
+                    raise ParseError(f"header dim {dim} is below 1", path=path, line=line_no)
                 # a vector line holds at least 2 * dim + 1 characters, so the
                 # file's size caps the count: a false one cannot size a huge matrix
                 room = min(count, os.path.getsize(path) // (2 * dim + 1))
-                continue  # header "count dim"
-            except ValueError:
-                pass
+                continue
         token = parts[0]
         rest = parts[1] if len(parts) == 2 else ""
         if dim is None:
@@ -244,17 +247,16 @@ def _width_error(dim, count, path, line_no):
 
 def _parse_values(pending, dim, path):
     """(len(pending), dim) float32 values of (line number, value text) pairs."""
-    if dim:  # loadtxt reads no row from a line without values
-        try:
-            values = np.loadtxt([rest for _, rest in pending], dtype=np.float64,
-                                comments=None, ndmin=2)
-        except ValueError:
-            values = None
-        if values is not None and values.shape == (len(pending), dim):
-            with np.errstate(over="ignore"):  # float32 overflow is caught as non-finite
-                values = values.astype(np.float32)
-            if np.isfinite(values).all():
-                return values
+    try:
+        values = np.loadtxt([rest for _, rest in pending], dtype=np.float64,
+                            comments=None, ndmin=2)
+    except ValueError:
+        values = None
+    if values is not None and values.shape == (len(pending), dim):
+        with np.errstate(over="ignore"):  # float32 overflow is caught as non-finite
+            values = values.astype(np.float32)
+        if np.isfinite(values).all():
+            return values
     out = []  # allocated as lines pass, so a header's bad dim cannot size it
     for line_no, rest in pending:
         fields = rest.split()

@@ -36,11 +36,13 @@ and large ufuncs release the GIL, so the parts use both cores. Below the
 gate the split gains little or loses (README, "Inference batching"), and
 every traced forward stays serial.
 
-When a validity mask is supplied, padded positions have their embeddings and
-emitted spikes zeroed, so a sentence's outputs do not depend on how much
-padding its batch happens to carry.
+forward turns a missing validity mask into ones; below it every step takes
+the mask as given. Padded positions have their embeddings and emitted spikes
+zeroed, so a sentence's outputs do not depend on how much padding its batch
+happens to carry.
 """
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -95,14 +97,16 @@ class NetworkConfig:
             raise ConfigError(
                 f"unknown surrogate_centering {self.surrogate_centering!r}"
             )
-        if self.v_thr <= 0:
-            raise ConfigError(f"v_thr must be > 0, got {self.v_thr}")
+        if not (math.isfinite(self.v_thr) and self.v_thr > 0):
+            raise ConfigError(f"v_thr must be finite and > 0, got {self.v_thr}")
+        if not math.isfinite(self.decay_init):
+            raise ConfigError(f"decay_init must be finite, got {self.decay_init}")
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise ConfigError(f"kernel must be odd and >= 1, got {self.kernel}")
         if self.channels < 1:
             raise ConfigError(f"channels must be >= 1, got {self.channels}")
-        if self.alpha <= 0:
-            raise ConfigError(f"alpha must be > 0, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ConfigError(f"alpha must be finite and > 0, got {self.alpha}")
         return self
 
 
@@ -175,13 +179,13 @@ def validate_spike_alphabet(spikes, mode):
         raise ValidationError(f"spike values outside the {mode} alphabet")
 
 
-def weighted_spikes(spk, neuron, mode, mask=None):
+def weighted_spikes(spk, neuron, mode, mask):
     """Apply the postsynaptic weights to a spike map before convolution.
 
-    spk is (..., B, R, C); a (B, R) mask, when given, zeroes padded
-    positions. Ternary mode scales the positive and negative parts
-    separately; for hard spikes this is exactly the {==+1} / {==-1} split,
-    and it extends smoothly to soft spikes.
+    spk is (..., B, R, C); the (B, R) mask zeroes padded positions.
+    Ternary mode scales the positive and negative parts separately; for hard
+    spikes this is exactly the {==+1} / {==-1} split, and it extends
+    smoothly to soft spikes.
     """
     if mode == BINARY:
         wspk = neuron.w_fv_pos * spk
@@ -191,8 +195,7 @@ def weighted_spikes(spk, neuron, mode, mask=None):
         neg = np.minimum(spk, 0.0)
         neg *= neuron.w_fv_neg
         wspk += neg
-    if mask is not None:
-        wspk *= mask[:, :, None]
+    wspk *= mask[:, :, None]
     return wspk
 
 
@@ -213,10 +216,7 @@ def _lif_scan(drive, neuron, cfg, soft, keep_trace=True):
             out = NeuronState(spk[t], np.empty_like(state.isc), np.empty_like(state.v))
         else:
             out = NeuronState(spk[t], state.isc, state.v)
-        _, state = lif_step(
-            state, drive[t], neuron, cfg.spike_mode, soft=soft, alpha=cfg.alpha,
-            v_thr=cfg.v_thr, centering=cfg.surrogate_centering, out=out,
-        )
+        _, state = lif_step(state, drive[t], neuron, cfg, soft, out=out)
         if keep_trace:
             isc.append(state.isc)
             v.append(state.v)
@@ -234,7 +234,7 @@ def encode_step(embeddings, layer, cfg, soft=False, keep_trace=True):
     return _lif_scan(drive, layer.neuron, cfg, soft, keep_trace)
 
 
-def spiking_conv_step(in_spikes, layer, cfg, mask=None, soft=False, checked=False,
+def spiking_conv_step(in_spikes, layer, cfg, mask, soft=False, checked=False,
                       keep_trace=True):
     """Run a spiking conv layer for all T timesteps.
 
@@ -284,7 +284,7 @@ class StateTrace:
     """
 
     embeddings: np.ndarray
-    mask: np.ndarray | None
+    mask: np.ndarray
     spk: list = field(default_factory=list)
     isc: list = field(default_factory=list)
     v: list = field(default_factory=list)
@@ -306,7 +306,8 @@ def forward(batch_embeddings, net, cfg: NetworkConfig, mask=None, soft=False,
     Returns (prob_class, trace) where prob_class[i,j] sums each timestep's
     softmax, so it totals T per token. The forward runs in the network's
     dtype: the embeddings are cast to it. net must hold cfg.n_spiking_conv + 2
-    layers.
+    layers. A missing (B, R) mask is all ones, made here; the trace holds
+    the mask the layers ran with.
 
     By default the trace caches every layer's spikes, current and potential
     per timestep: backward, grad_check, energy.profile_network and
@@ -329,9 +330,8 @@ def forward(batch_embeddings, net, cfg: NetworkConfig, mask=None, soft=False,
     emb = np.asarray(batch_embeddings, dtype=net[0].kernels.dtype)
     if emb.ndim != 3:
         raise DimensionError(f"embeddings must be (B, R, E), got {emb.shape}")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=emb.dtype)
-        emb = emb * mask[:, :, None]
+    mask = np.ones(emb.shape[:2], emb.dtype) if mask is None else np.asarray(mask, emb.dtype)
+    emb = emb * mask[:, :, None]
 
     b, r, _ = emb.shape
     if (keep_trace or b < 2 or USABLE_CORES < 2
@@ -342,12 +342,11 @@ def forward(batch_embeddings, net, cfg: NetworkConfig, mask=None, soft=False,
     # imported here: a process that never splits does not pay its ~0.7 MB RSS
     from concurrent.futures import ThreadPoolExecutor
 
-    h, first_len, second_len = _split_by_work(
-        np.full(b, r) if mask is None else _real_ends(mask))
+    h, first_len, second_len = _split_by_work(_real_ends(mask))
 
     def run_part(rows, length):
-        return _run_stack(emb[rows, :length], None if mask is None else mask[rows, :length],
-                          net, cfg, soft, checked, keep_trace=False)
+        return _run_stack(emb[rows, :length], mask[rows, :length], net, cfg, soft, checked,
+                          keep_trace=False)
 
     with ThreadPoolExecutor(1) as worker:
         second = worker.submit(run_part, slice(h, None), second_len)
@@ -401,10 +400,8 @@ def _run_stack(emb, mask, net, cfg, soft, checked, keep_trace):
 
     slot = hand_off(encode_step(emb, net[0], cfg, soft=soft, keep_trace=keep_trace))
     for layer in net[1:-1]:
-        slot = hand_off(spiking_conv_step(slot.pop(), layer, cfg, mask=mask, soft=soft,
+        slot = hand_off(spiking_conv_step(slot.pop(), layer, cfg, mask, soft=soft,
                                           checked=checked, keep_trace=keep_trace))
-    spk = slot.pop()
-    x = spk if mask is None else spk * mask[:, :, None]
-    trace.probs_t = softmax3(output_logits(x, net[-1]))
+    trace.probs_t = softmax3(output_logits(slot.pop() * mask[:, :, None], net[-1]))
     trace.prob_class = trace.probs_t.sum(axis=0)
     return trace

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
-
 BINARY = "binary"
 TERNARY = "ternary"
 SPIKE_MODES = (BINARY, TERNARY)
@@ -69,12 +67,8 @@ class NeuronParams:
     w_fv_neg: np.ndarray | None = None
 
 
-def heaviside(v, out=None):
-    """1 where v >= 0, else 0 (H(0) = 1); written into out if given. Works on
-    scalars and arrays."""
-    v = np.asarray(v)
-    if out is None:
-        out = np.empty(v.shape, v.dtype if v.dtype.kind == "f" else np.float64)
+def heaviside(v, out):
+    """Write 1 where v >= 0, else 0 (H(0) = 1), into out; returns out."""
     return np.greater_equal(v, 0, out=out)
 
 
@@ -99,76 +93,66 @@ def atan_sigmoid(v, alpha):
     return np.arctan((math.pi / 2.0) * alpha * np.asarray(v)) / math.pi + 0.5
 
 
-def soft_spike(v, mode, alpha, v_thr, centering):
+def soft_spike(v, cfg):
     """Differentiable stand-in for the firing rule.
 
-    Chosen so that d(soft_spike)/dv equals the surrogate gradient selected by
-    (mode, centering); binary variants span (0,1), ternary variants are odd.
+    Chosen so that d(soft_spike)/dv equals the surrogate gradient that cfg's
+    spike_mode and surrogate_centering select; binary variants span (0,1),
+    ternary variants are odd.
     """
-    if mode == BINARY:
-        if centering == CENTER_ZERO:
+    alpha, v_thr = cfg.alpha, cfg.v_thr
+    if cfg.spike_mode == BINARY:
+        if cfg.surrogate_centering == CENTER_ZERO:
             return atan_sigmoid(v, alpha)
         return atan_sigmoid(np.asarray(v) - v_thr, alpha)
-    if centering == CENTER_ZERO:
+    if cfg.surrogate_centering == CENTER_ZERO:
         return atan_sigmoid(v, alpha) - 0.5
     v = np.asarray(v)
     return atan_sigmoid(v - v_thr, alpha) - atan_sigmoid(-v - v_thr, alpha)
 
 
-def spike_grad(v, mode, alpha, v_thr, centering):
-    """Surrogate d(spk)/dv used in the backward pass.
+def spike_grad(v, cfg):
+    """Surrogate d(spk)/dv used in the backward pass, at cfg's alpha and v_thr.
 
     Zero centering is one bump at 0, in either mode. Threshold centering is a
     bump at +v_thr, plus one at -v_thr in ternary mode; the threshold-centered
     ternary form is this package's own construction.
     """
-    if centering == CENTER_ZERO:
+    alpha = cfg.alpha
+    if cfg.surrogate_centering == CENTER_ZERO:
         return surrogate_grad(v, alpha)
     v = np.asarray(v)
-    above = surrogate_grad(v - v_thr, alpha)
-    if mode == BINARY:
+    above = surrogate_grad(v - cfg.v_thr, alpha)
+    if cfg.spike_mode == BINARY:
         return above
-    return above + surrogate_grad(v + v_thr, alpha)
+    return above + surrogate_grad(v + cfg.v_thr, alpha)
 
 
-def lif_step(prev, input_psp, params, mode=BINARY, soft=False, alpha=2.0,
-             v_thr=0.1, centering=CENTER_ZERO, out=None):
-    """One update/fire/reset cycle.
+def lif_step(prev, drive, params, cfg, soft=False, *, out):
+    """One update/fire/reset cycle under cfg (a layers.NetworkConfig).
 
-    input_psp is the already-weighted postsynaptic drive. v_thr is the firing
-    threshold (+/-v_thr in ternary mode), alpha the soft-spike sharpness. Returns
-    (spikes, next_state); next_state stores the pre-reset membrane potential,
-    the reset taking effect at the following step via (1 - |spk|).
+    drive is the already-weighted postsynaptic drive, shaped like the state.
+    The step fires in cfg.spike_mode at cfg.v_thr (+/-cfg.v_thr in ternary
+    mode); soft spikes use cfg.alpha and cfg.surrogate_centering.
+    Returns (spikes, next_state); next_state stores the pre-reset membrane
+    potential, the reset taking effect at the following step via (1 - |spk|).
 
-    out, when given, is the NeuronState the step writes: its spk, isc and v
-    arrays receive the spikes, current and potential, and it is returned as
-    next_state. Its isc and v may be prev's own (an update in place); its spk
-    is scratch until the spikes are made, so it must not be prev.v or prev.isc.
-    Without out, the step allocates arrays of the dtypes the update promotes
-    to, and prev is not written.
+    out is the NeuronState the step writes: its spk, isc and v arrays receive
+    the spikes, current and potential, and it is returned as next_state. Its
+    isc and v may be prev's own (an update in place); its spk is scratch
+    until the spikes are made, so it must not be prev.v or prev.isc.
     """
-    input_psp = np.asarray(input_psp)
-    shape = input_psp.shape
-    if prev.spk.shape != shape or prev.isc.shape != shape or prev.v.shape != shape:
-        raise DimensionError(
-            f"state shape {prev.v.shape} does not match drive shape {input_psp.shape}"
-        )
-    if out is None:
-        isc_dtype = np.result_type(np.asarray(params.w_scd), prev.isc, input_psp)
-        v_dtype = np.result_type(np.asarray(params.w_vd), prev.v, prev.spk, isc_dtype)
-        out = NeuronState(spk=np.empty(shape, v_dtype), isc=np.empty(shape, isc_dtype),
-                          v=np.empty(shape, v_dtype))
     isc = np.multiply(params.w_scd, prev.isc, out=out.isc)
-    isc += input_psp
+    isc += drive
     keep = np.abs(prev.spk, out=out.spk)
     np.subtract(1.0, keep, out=keep)
     v = np.multiply(params.w_vd, prev.v, out=out.v)
     v *= keep
     v += isc
     if soft:
-        out.spk[...] = soft_spike(v, mode, alpha, v_thr, centering)
-    elif mode == TERNARY:
-        ternary_threshold(v, v_thr, out=out.spk)
+        out.spk[...] = soft_spike(v, cfg)
+    elif cfg.spike_mode == TERNARY:
+        ternary_threshold(v, cfg.v_thr, out=out.spk)
     else:
-        heaviside(np.subtract(v, v_thr, out=out.spk), out=out.spk)
+        heaviside(np.subtract(v, cfg.v_thr, out=out.spk), out.spk)
     return out.spk, out

@@ -196,8 +196,9 @@ def _copy_stored(checkpoint, name, target):
 def restore_network(checkpoint: Checkpoint):
     """Rebuild (net, opt_state) from a loaded checkpoint.
 
-    The Adam moments are all or nothing: a checkpoint holding any of them
-    must hold both moments of every parameter, each shaped like it.
+    Every stored tensor must be a parameter of the configured network or one
+    of its Adam moments. The moments are all or nothing: a checkpoint holding
+    any of them must hold both moments of every parameter, each shaped like it.
     """
     from .layers import init_network
     from .training import OptimizerState, named_parameters
@@ -205,6 +206,10 @@ def restore_network(checkpoint: Checkpoint):
     rng = np.random.default_rng(0)  # shapes only; values overwritten below
     net = init_network(checkpoint.net_cfg, rng, dtype=np.float32)
     params = named_parameters(net)
+    known = {*params, *(f"adam_{moment}.{name}" for moment in "mv" for name in params)}
+    for name in checkpoint.tensors:
+        if name not in known:
+            raise CheckpointError(f"checkpoint holds tensor {name}, which its network lacks")
     for name, p in params.items():
         _copy_stored(checkpoint, name, p)
     opt_state = OptimizerState.for_network(net)

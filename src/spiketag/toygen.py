@@ -31,6 +31,12 @@ CLOSERS = [".", "!", "?", ";"]
 
 VOCABULARY = FILLERS + TRIGGERS + NOUNS + MODIFIERS + CLOSERS  # 60 tokens
 
+# A toy vector is EMBEDDING_SCALE * (its group's direction + EMBEDDING_NOISE *
+# per-token noise); the scale keeps drives near the firing threshold, where
+# the surrogate gradient is most informative.
+EMBEDDING_SCALE = 0.3
+EMBEDDING_NOISE = 0.35
+
 
 def _fillers(rng, low, high):
     n = int(rng.integers(low, high + 1))
@@ -70,13 +76,12 @@ def generate_corpus(n_sentences, seed):
     return examples
 
 
-def generate_embeddings(dim, seed, scale=0.3, common=1.0, noise=0.35):
+def generate_embeddings(dim, seed):
     """Embedding table over the toy vocabulary.
 
     Each word-class group (filler/trigger/noun/modifier/closer) shares a
     common direction plus per-token Gaussian noise, mimicking how distributional
-    embeddings cluster by syntactic role. `scale` keeps drives near the firing
-    threshold, where the surrogate gradient is most informative.
+    embeddings cluster by syntactic role.
     """
     rng = np.random.default_rng([seed, 8])
     groups = (FILLERS, TRIGGERS, NOUNS, MODIFIERS, CLOSERS)
@@ -84,7 +89,7 @@ def generate_embeddings(dim, seed, scale=0.3, common=1.0, noise=0.35):
     for group in groups:
         center = rng.normal(0.0, 1.0, size=dim)
         for tok in group:
-            vec = scale * (common * center + noise * rng.normal(0.0, 1.0, size=dim))
+            vec = EMBEDDING_SCALE * (center + EMBEDDING_NOISE * rng.normal(0.0, 1.0, size=dim))
             vectors[tok] = vec.astype(np.float32)
     unk = mean_vector(np.stack(list(vectors.values())))
     return EmbeddingTable(dim=dim, vectors=vectors, unk=unk)

@@ -25,6 +25,7 @@ gradient check cannot see this: soft spikes are never exactly 0.
 """
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,10 +60,16 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigError(
+                f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
+            raise ConfigError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
         return self
 
 
@@ -79,10 +86,6 @@ def named_parameters(net):
                 params[f"{i}.w_fv_pos"] = layer.neuron.w_fv_pos
                 params[f"{i}.w_fv_neg"] = layer.neuron.w_fv_neg
     return params
-
-
-def zero_gradients(net):
-    return {name: np.zeros_like(p) for name, p in named_parameters(net).items()}
 
 
 def token_weights(labels, mask):
@@ -134,16 +137,17 @@ def _prob_adjoint(prob, labels, mask):
     return g
 
 
-def _adjoint_scan(trace, li, d_spk, neuron, cfg, grads):
-    """Run layer li's LIF adjoint backwards through t; returns dL/ddrive.
+def _adjoint_scan(trace, li, d_spk, neuron, cfg):
+    """Run layer li's LIF adjoint backwards through t.
 
     d_spk is the (T, B, R, C) adjoint arriving at the layer's raw spikes.
-    It is overwritten step by step with dL/ddrive_t = dL/disc_t and returned;
-    the decay-weight gradients accumulate along the way.
+    It is overwritten step by step with dL/ddrive_t = dL/disc_t. Returns
+    (dL/ddrive, dL/dw_scd, dL/dw_vd), the decay-weight gradients summed
+    over t as the scan goes.
     """
     spk, isc, v = trace.spk[li], trace.isc[li], trace.v[li]
     w_scd, w_vd = neuron.w_scd, neuron.w_vd
-    g_scd, g_vd = grads[f"{li}.w_scd"], grads[f"{li}.w_vd"]
+    g_scd, g_vd = np.zeros_like(w_scd), np.zeros_like(w_vd)
     d_v_next = None
     keep = None  # 1 - |spk_t|, made at step t+1 for its w_vd gradient
     for t in range(cfg.time_steps - 1, -1, -1):
@@ -151,8 +155,7 @@ def _adjoint_scan(trace, li, d_spk, neuron, cfg, grads):
         if trace.soft and d_v_next is not None:
             # reset factor (1 - |spk_t|) varies smoothly with v in soft mode
             d_s = d_s - w_vd * v[t] * np.sign(spk[t]) * d_v_next
-        d_v = spike_grad(v[t], cfg.spike_mode, cfg.alpha, cfg.v_thr,
-                         cfg.surrogate_centering)
+        d_v = spike_grad(v[t], cfg)
         d_v *= d_s
         # drive_t enters isc_t with unit weight: dL/ddrive_t = dL/disc_t,
         # written over d_spk[t], which is read no more
@@ -170,7 +173,7 @@ def _adjoint_scan(trace, li, d_spk, neuron, cfg, grads):
             g_scd += (isc[t - 1] * d_spk[t]).sum(axis=(0, 1))
             g_vd += (v[t - 1] * keep * d_v).sum(axis=(0, 1))
         d_v_next = d_v
-    return d_spk
+    return d_spk, g_scd, g_vd
 
 
 def backward(trace, labels, mask, net, cfg: NetworkConfig):
@@ -179,6 +182,7 @@ def backward(trace, labels, mask, net, cfg: NetworkConfig):
     trace must come from forward() on the same batch and parameters. Layers
     are visited deepest first: an elementwise adjoint scan over t, then one
     kernel-gradient and one input-gradient convolution over all T*B rows.
+    Each gradient is assigned once; the dict is in named_parameters order.
     """
     if trace.prob_class is None or len(trace.probs_t) != cfg.time_steps:
         raise ConfigError("trace does not match the configured time_steps")
@@ -190,9 +194,9 @@ def backward(trace, labels, mask, net, cfg: NetworkConfig):
     t_steps = cfg.time_steps
     b, r = trace.embeddings.shape[:2]
     rows = t_steps * b
-    mask_col = None if trace.mask is None else trace.mask[:, :, None]
+    mask_col = trace.mask[:, :, None]
 
-    grads = zero_gradients(net)
+    grads = {}
     g_prob = _prob_adjoint(trace.prob_class, labels, mask)
 
     # output decoder: each timestep's softmax feeds prob_class additively.
@@ -200,23 +204,23 @@ def backward(trace, labels, mask, net, cfg: NetworkConfig):
     out = len(net) - 1
     p = trace.probs_t
     d_logits = p * (g_prob - (g_prob * p).sum(axis=-1, keepdims=True))
-    if mask_col is not None:
-        d_logits *= mask_col
-    grads[f"{out}.kernels"] += np.tensordot(
+    d_logits *= mask_col
+    grads[f"{out}.kernels"] = np.tensordot(
         d_logits, trace.spk[out - 1], axes=([0, 1, 2], [0, 1, 2])
     )
-    grads[f"{out}.bias"] += d_logits.sum(axis=(0, 1, 2))
+    grads[f"{out}.bias"] = d_logits.sum(axis=(0, 1, 2))
     d_spk = (d_logits.reshape(-1, N_CLASSES) @ out_layer.kernels).reshape(t_steps, b, r, -1)
 
     # spiking conv layers, deepest first; only the current layer's adjoint is alive
     for li in range(len(spiking) - 1, 0, -1):
         layer = spiking[li]
         neuron = layer.neuron
-        d_drive = _adjoint_scan(trace, li, d_spk, neuron, cfg, grads)
-        grads[f"{li}.bias"] += d_drive.sum(axis=(0, 1, 2))
+        d_drive, grads[f"{li}.w_scd"], grads[f"{li}.w_vd"] = _adjoint_scan(
+            trace, li, d_spk, neuron, cfg)
+        grads[f"{li}.bias"] = d_drive.sum(axis=(0, 1, 2))
         spk_in = trace.spk[li - 1]
         wspk = weighted_spikes(spk_in, neuron, mode, trace.mask)
-        grads[f"{li}.kernels"] += conv1d_same_kernel_grad(
+        grads[f"{li}.kernels"] = conv1d_same_kernel_grad(
             wspk.reshape(rows, r, -1), d_drive.reshape(rows, r, -1), layer.kernels.shape[2]
         )
         del wspk
@@ -224,26 +228,27 @@ def backward(trace, labels, mask, net, cfg: NetworkConfig):
             d_drive.reshape(rows, r, -1), layer.kernels, r
         ).reshape(spk_in.shape)
         del d_drive, d_spk  # from here on only the next layer's adjoint is kept
-        if mask_col is not None:
-            d_wspk *= mask_col
+        d_wspk *= mask_col
         # wspk = w_fv_pos * spk (binary), w_fv_pos * spk+ + w_fv_neg * spk- (ternary)
         if mode == BINARY:
-            grads[f"{li}.w_fv_pos"] += (spk_in * d_wspk).sum()
+            grads[f"{li}.w_fv_pos"] = np.asarray((spk_in * d_wspk).sum())
+            grads[f"{li}.w_fv_neg"] = np.zeros_like(neuron.w_fv_neg)
             d_wspk *= neuron.w_fv_pos
         else:
-            grads[f"{li}.w_fv_pos"] += (np.maximum(spk_in, 0.0) * d_wspk).sum()
-            grads[f"{li}.w_fv_neg"] += (np.minimum(spk_in, 0.0) * d_wspk).sum()
+            grads[f"{li}.w_fv_pos"] = np.asarray((np.maximum(spk_in, 0.0) * d_wspk).sum())
+            grads[f"{li}.w_fv_neg"] = np.asarray((np.minimum(spk_in, 0.0) * d_wspk).sum())
             d_wspk *= neuron.w_fv_pos * (spk_in > 0) + neuron.w_fv_neg * (spk_in < 0)
         d_spk = d_wspk
 
     # encoder: its drive is the same at every t, so its kernels see sum_t dL/ddrive_t
     enc = spiking[0]
-    d_drive = _adjoint_scan(trace, 0, d_spk, enc.neuron, cfg, grads)
-    grads["0.bias"] += d_drive.sum(axis=(0, 1, 2))
-    grads["0.kernels"] += conv1d_same_kernel_grad(
+    d_drive, grads["0.w_scd"], grads["0.w_vd"] = _adjoint_scan(
+        trace, 0, d_spk, enc.neuron, cfg)
+    grads["0.bias"] = d_drive.sum(axis=(0, 1, 2))
+    grads["0.kernels"] = conv1d_same_kernel_grad(
         trace.embeddings, d_drive.sum(axis=0), enc.kernels.shape[2]
     )
-    return grads
+    return {name: grads[name] for name in named_parameters(net)}
 
 
 @dataclass

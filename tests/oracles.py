@@ -17,14 +17,8 @@ import numpy as np
 
 from spiketag.data import utf8_lines
 from spiketag.errors import ConfigError, DimensionError, NumericError, ParseError
-from spiketag.neuron import (
-    BINARY,
-    CENTER_ZERO,
-    TERNARY,
-    NeuronState,
-    heaviside,
-    soft_spike,
-)
+from spiketag.layers import NetworkConfig
+from spiketag.neuron import BINARY, CENTER_ZERO, TERNARY, NeuronState, soft_spike
 
 
 def conv1d_naive(x, kernels, bias, padding, stride=1):
@@ -116,9 +110,12 @@ def load_embeddings_line_by_line(path):
             try:
                 int(parts[0])
                 dim = int(parts[1])
-                continue  # header "count dim"
             except ValueError:
                 pass
+            else:  # header "count dim"
+                if dim < 1:
+                    raise ParseError(f"header dim {dim} is below 1", path=path, line=line_no)
+                continue
         token, values = parts[0], parts[1:]
         if dim is None:
             dim = len(values)
@@ -250,6 +247,12 @@ def conv1d_same_kernel_grad(x, d_out, k, padding=2):
     return d_k
 
 
+def heaviside(v):
+    """1 where v >= 0, else 0 (H(0) = 1)."""
+    v = np.asarray(v)
+    return (v >= 0).astype(v.dtype if v.dtype.kind == "f" else np.float64)
+
+
 def ternary_threshold(v, v_thr):
     """+1 where v >= v_thr, -1 where v <= -v_thr, else 0."""
     v = np.asarray(v)
@@ -274,7 +277,9 @@ def lif_step(prev, input_psp, params, mode=BINARY, soft=False, alpha=2.0,
     isc = params.w_scd * prev.isc + input_psp
     v = params.w_vd * prev.v * (1.0 - np.abs(prev.spk)) + isc
     if soft:
-        spk = soft_spike(v, mode, alpha, v_thr, centering)
+        cfg = NetworkConfig(spike_mode=mode, alpha=alpha, v_thr=v_thr,
+                            surrogate_centering=centering)
+        spk = soft_spike(v, cfg)
     elif mode == TERNARY:
         spk = ternary_threshold(v, v_thr)
     else:

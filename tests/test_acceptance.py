@@ -72,9 +72,10 @@ def test_c2_lif_oracle_equivalence():
             params = NeuronParams(w_scd=np.asarray([w_scd]), w_vd=np.asarray([w_vd]))
             oracle = ScalarLIF(w_scd, w_vd, v_thr, mode)
             state = NeuronState.zeros((1,), dtype=np.float64)
+            cfg = NetworkConfig(spike_mode=mode, v_thr=v_thr)
             for t in range(t_steps):
                 o_spk, o_isc, o_v = oracle.step(float(drives[t]))
-                spk, state = lif_step(state, drives[t : t + 1], params, mode, v_thr=v_thr)
+                spk, state = lif_step(state, drives[t : t + 1], params, cfg, out=state)
                 assert spk[0] == o_spk and state.isc[0] == o_isc and state.v[0] == o_v
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0

@@ -275,10 +275,16 @@ def one_element_first_moment(ckpt):
     ckpt.tensors["adam_m.0.kernels"] = np.zeros(1, dtype=np.float32)
 
 
+def a_layer_the_network_lacks(ckpt):
+    ckpt.tensors["9.kernels"] = np.zeros((2, 2), dtype=np.float32)
+    ckpt.tensors["adam_m.9.kernels"] = np.zeros((2, 2), dtype=np.float32)
+
+
 @pytest.mark.parametrize("edit, message", [
     (drop_one_second_moment, "missing tensor adam_v.0.bias"),
     (non_integer_step, "optimizer_step 'x'"),
     (one_element_first_moment, "adam_m.0.kernels shape (1,)"),
+    (a_layer_the_network_lacks, "tensor 9.kernels, which its network lacks"),
 ])
 def test_a_malformed_optimizer_state_is_a_data_error(capsys, tmp_path, edit, message):
     cfg_path = small_config(tmp_path, epochs=1)
@@ -445,13 +451,30 @@ def test_a_refused_train_leaves_the_previous_run_untouched(capsys, tmp_path, ref
     assert {name: (tmp_path / name).read_bytes() for name in before} == before
 
 
-@pytest.mark.parametrize("flag", [("--epochs", "0"), ("--time-steps", "0")])
+@pytest.mark.parametrize("flag", [("--epochs", "0"), ("--time-steps", "0"), ("--lr", "nan"),
+                                  ("--lr", "inf")])
 def test_train_checks_its_config_before_reading_the_data(capsys, tmp_path, flag):
     code, _, err = run(capsys, "train", "--data", TOY_CORPUS,
                        "--embeddings", str(tmp_path / "missing.txt"),
                        "--out", str(tmp_path), *flag)
     assert code == 1
     assert "configuration error" in err and "missing.txt" not in err
+
+
+# each of these trained a network that never fires, stopped on a non-finite
+# gradient after the first step, or divided by zero in the adam update
+@pytest.mark.parametrize("key, value", [
+    ("v_thr", "nan"), ("v_thr", "inf"), ("alpha", "nan"), ("decay_init", "nan"),
+    ("lr", "nan"), ("adam_beta1", "1.0"), ("adam_beta1", "1.5"), ("adam_beta2", "-1"),
+    ("adam_eps", "0"), ("adam_eps", "inf"),
+])
+def test_train_checks_its_config_file_before_reading_the_data(capsys, tmp_path, key, value):
+    cfg = small_config(tmp_path, embeddings=tmp_path / "missing.txt", **{key: value})
+    code, _, err = run(capsys, "train", "--config", cfg)
+    assert code == 1
+    field = "learning_rate" if key == "lr" else key
+    assert "configuration error" in err and f"{field} must be" in err
+    assert "missing.txt" not in err and "RuntimeWarning" not in err
 
 
 @pytest.mark.parametrize("parent", ["nodir", "a_file"])

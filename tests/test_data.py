@@ -209,9 +209,11 @@ def test_table_parse_matches_the_line_by_line_parser(table_dir, text, chunk_line
     ("a 1 2\nb 1 2\nc 1e39 2\nd 1\n", 3, 3),
     # a value count error beats a bad value later in its chunk
     ("2 2\na 1 2\nb 1\nc x y\n", 100, 3),
-    # a header's negative or huge dim is a value count error, not an allocation
-    ("2 -2\na 1 2\n", 100, 2),
+    # a header's huge dim is a value count error, not an allocation ...
     ("2 1000000000000\na 1 2\n", 100, 2),
+    # ... and a dim below 1 is an error at the header
+    ("2 0\na\nb\n", 100, 1),
+    ("2 -3\na 1 2 3\n", 100, 1),
 ])
 def test_table_errors_name_the_first_bad_line(tmp_path, text, chunk_lines, bad_line):
     path = write(tmp_path, "emb.txt", text)

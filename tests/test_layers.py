@@ -102,7 +102,7 @@ def test_spiking_conv_zero_in_zero_out():
             w_fv_pos=np.asarray(1.0), w_fv_neg=np.asarray(1.0),
         ),
     )
-    states = spiking_conv_step(np.zeros((cfg.time_steps, 1, 4, 2)), layer, cfg)
+    states = spiking_conv_step(np.zeros((cfg.time_steps, 1, 4, 2)), layer, cfg, np.ones((1, 4)))
     assert states.spk.shape == (3, 1, 4, 2)
     for spk in states.spk:
         assert not spk.any()
@@ -125,8 +125,9 @@ def test_equal_weight_ternary_collapses_to_binary_formula():
         w_scd=np.full(3, 0.1), w_vd=np.full(3, 0.1),
         w_fv_pos=np.asarray(0.37), w_fv_neg=np.asarray(0.37),
     )
-    ternary = weighted_spikes(spikes, neuron, "ternary")
-    binary_formula = weighted_spikes(spikes, neuron, "binary")
+    mask = np.ones((2, 6))
+    ternary = weighted_spikes(spikes, neuron, "ternary", mask)
+    binary_formula = weighted_spikes(spikes, neuron, "binary", mask)
     assert np.array_equal(ternary, binary_formula)
 
 
@@ -141,9 +142,10 @@ def test_binary_mode_ignores_negative_postsynaptic_weight():
         w_scd=np.full(2, 0.1), w_vd=np.full(2, 0.1),
         w_fv_pos=np.asarray(0.8), w_fv_neg=np.asarray(-55.0),
     )
+    mask = np.ones((1, 5))
     assert np.array_equal(
-        weighted_spikes(spikes, neuron_a, "binary"),
-        weighted_spikes(spikes, neuron_b, "binary"),
+        weighted_spikes(spikes, neuron_a, "binary", mask),
+        weighted_spikes(spikes, neuron_b, "binary", mask),
     )
 
 
@@ -161,7 +163,7 @@ def test_spike_alphabet_validation():
     )
     bad = np.full((cfg.time_steps, 1, 3, 2), 0.5)
     with pytest.raises(ValidationError):
-        spiking_conv_step(bad, layer, cfg, checked=True)
+        spiking_conv_step(bad, layer, cfg, np.ones((1, 3)), checked=True)
 
 
 def test_output_logits_cases():
@@ -364,6 +366,40 @@ def test_forward_masks_padding_against_batch_composition(mode, monkeypatch):
     assert decode_bio(prob, batch_mask) == decode_bio(traced_prob, batch_mask)
 
 
+@pytest.mark.parametrize("keep_trace, cores, parts", [(True, 2, 1), (False, 1, 1), (False, 2, 2)],
+                         ids=["traced", "serial", "split"])
+def test_forward_without_a_mask_is_forward_with_a_ones_mask(monkeypatch, keep_trace, cores,
+                                                            parts):
+    # forward makes the missing mask once, at its boundary; every layer below
+    # runs with it, so the outputs are those of an explicit ones mask
+    cfg = NetworkConfig(embedding_dim=4, channels=128, n_spiking_conv=2, time_steps=3)
+    net = full_net(cfg, dtype=np.float32)
+    emb = np.random.default_rng(9).normal(scale=0.5, size=(32, 8, 4)).astype(np.float32)
+    assert 32 * 8 * 128 == layers.SPLIT_MIN_ELEMENTS
+    monkeypatch.setattr(layers, "USABLE_CORES", cores)
+    encoded = []  # the rows of every encode_step call
+    real = layers.encode_step
+
+    def spy(embeddings, *args, **kwargs):
+        encoded.append(embeddings.shape[0])
+        return real(embeddings, *args, **kwargs)
+
+    monkeypatch.setattr(layers, "encode_step", spy)
+    prob, trace = forward(emb, net, cfg, keep_trace=keep_trace)
+    assert len(encoded) == parts
+    ones_prob, ones_trace = forward(emb, net, cfg, mask=np.ones((32, 8), np.float32),
+                                    keep_trace=keep_trace)
+    assert prob.tobytes() == ones_prob.tobytes()
+    for name in ("embeddings", "mask", "probs_t"):
+        assert getattr(trace, name).tobytes() == getattr(ones_trace, name).tobytes()
+    assert len(trace.spk) == len(ones_trace.spk) == (3 if keep_trace else 0)
+    for li, spk in enumerate(trace.spk):
+        assert spk.tobytes() == ones_trace.spk[li].tobytes()
+        for t in range(cfg.time_steps):
+            assert trace.isc[li][t].tobytes() == ones_trace.isc[li][t].tobytes()
+            assert trace.v[li][t].tobytes() == ones_trace.v[li][t].tobytes()
+
+
 @pytest.mark.parametrize("b, r, cores, keep_trace, threads", [
     (128, 64, 2, False, 2),   # B*R*C = 2**15: split, one half on each thread
     (128, 63, 2, False, 1),   # one row per sentence short of the gate
@@ -484,11 +520,10 @@ def test_split_runs_rows_without_a_real_position(monkeypatch, empty_from):
     assert np.array_equal(trace.probs_t, traced.probs_t)
 
 
-@pytest.mark.parametrize("with_mask", [False, True])
-def test_ternary_weighting_holds_at_most_two_new_blocks(with_mask):
+def test_ternary_weighting_holds_at_most_two_new_blocks():
     rng = np.random.default_rng(2)
     spk = rng.integers(-1, 2, size=(6, 16, 32, 128)).astype(np.float32)
-    mask = (rng.uniform(size=(16, 32)) < 0.8).astype(np.float32) if with_mask else None
+    mask = (rng.uniform(size=(16, 32)) < 0.8).astype(np.float32)
     neuron = NeuronParams(w_scd=None, w_vd=None, w_fv_pos=np.asarray(0.7, np.float32),
                           w_fv_neg=np.asarray(1.3, np.float32))
     tracemalloc.start()
@@ -500,8 +535,7 @@ def test_ternary_weighting_holds_at_most_two_new_blocks(with_mask):
     assert peak < 2.1 * spk.nbytes
     expected = (neuron.w_fv_pos * np.maximum(spk, 0.0)
                 + neuron.w_fv_neg * np.minimum(spk, 0.0))
-    if with_mask:
-        expected *= mask[:, :, None]
+    expected *= mask[:, :, None]
     assert wspk.tobytes() == expected.tobytes()
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import ScalarLIF
-from spiketag.errors import DimensionError
+from spiketag.layers import NetworkConfig
 from spiketag.neuron import (
     NeuronParams,
     NeuronState,
@@ -27,10 +27,20 @@ def scalar_params(w_scd=0.1, w_vd=0.1, n=1, dtype=np.float64):
     )
 
 
+def config(mode, v_thr=0.1, centering="zero"):
+    return NetworkConfig(spike_mode=mode, v_thr=v_thr, surrogate_centering=centering)
+
+
+def advance(prev, drive, params, cfg):
+    """lif_step into a fresh state, leaving prev as it was."""
+    out = NeuronState(*(np.empty_like(prev.v) for _ in range(3)))
+    return lif_step(prev, drive, params, cfg, out=out)
+
+
 def test_heaviside_fires_at_zero():
-    assert heaviside(0.0) == 1.0
-    assert heaviside(-0.05) == 0.0
-    assert heaviside(0.1) == 1.0
+    out = np.empty(3)
+    assert heaviside(np.asarray([0.0, -0.05, 0.1]), out) is out
+    assert out.tolist() == [1.0, 0.0, 1.0]
 
 
 def test_ternary_threshold_cases():
@@ -47,7 +57,7 @@ def test_quiescence_with_zero_drive():
     for mode in ("binary", "ternary"):
         s = state
         for _ in range(10):
-            spk, s = lif_step(s, np.zeros((1, 2, 4)), params, mode)
+            spk, s = advance(s, np.zeros((1, 2, 4)), params, config(mode))
             assert not spk.any()
             assert not s.isc.any()
             assert not s.v.any()
@@ -56,14 +66,14 @@ def test_quiescence_with_zero_drive():
 def test_three_step_hand_trace():
     params = scalar_params()
     state = NeuronState.zeros((1,), dtype=np.float64)
-    spk, state = lif_step(state, np.asarray([1.0]), params, "binary")
+    spk, state = advance(state, np.asarray([1.0]), params, config("binary"))
     assert spk[0] == 1.0 and state.isc[0] == 1.0 and state.v[0] == 1.0
-    spk, state = lif_step(state, np.asarray([0.0]), params, "binary")
+    spk, state = advance(state, np.asarray([0.0]), params, config("binary"))
     # decayed current alone re-crosses the threshold; the reset removed v
     assert state.isc[0] == pytest.approx(0.1)
     assert state.v[0] == pytest.approx(0.1)
     assert spk[0] == 1.0
-    spk, state = lif_step(state, np.asarray([0.0]), params, "binary")
+    spk, state = advance(state, np.asarray([0.0]), params, config("binary"))
     assert state.v[0] == pytest.approx(0.01)
     assert spk[0] == 0.0
 
@@ -71,11 +81,11 @@ def test_three_step_hand_trace():
 def test_ternary_negative_drive_mirrors_positive():
     params = scalar_params()
     state = NeuronState.zeros((1,), dtype=np.float64)
-    spk, state = lif_step(state, np.asarray([-1.0]), params, "ternary")
+    spk, state = advance(state, np.asarray([-1.0]), params, config("ternary"))
     assert spk[0] == -1.0
-    spk, state = lif_step(state, np.asarray([0.0]), params, "ternary")
+    spk, state = advance(state, np.asarray([0.0]), params, config("ternary"))
     assert spk[0] == -1.0  # isc decays to -0.1, still at the negative threshold
-    spk, state = lif_step(state, np.asarray([0.0]), params, "ternary")
+    spk, state = advance(state, np.asarray([0.0]), params, config("ternary"))
     assert spk[0] == 0.0
 
 
@@ -93,7 +103,7 @@ def test_trajectories_match_scalar_oracle():
             state = NeuronState.zeros((1,), dtype=np.float64)
             for t in range(t_steps):
                 o_spk, o_isc, o_v = oracle.step(float(drives[t]))
-                spk, state = lif_step(state, drives[t : t + 1], params, mode, v_thr=v_thr)
+                spk, state = advance(state, drives[t : t + 1], params, config(mode, v_thr))
                 assert spk[0] == o_spk
                 assert state.isc[0] == o_isc
                 assert state.v[0] == o_v
@@ -106,11 +116,11 @@ def test_reset_removes_decayed_voltage():
     for step in range(6):
         drive = rng.normal(scale=0.4, size=8)
         spiked = state.spk != 0
-        _, nxt = lif_step(state, drive, params, "ternary")
+        _, nxt = advance(state, drive, params, config("ternary"))
         tampered = NeuronState(
             spk=state.spk, isc=state.isc, v=np.where(spiked, 99.0, state.v)
         )
-        _, nxt_tampered = lif_step(tampered, drive, params, "ternary")
+        _, nxt_tampered = advance(tampered, drive, params, config("ternary"))
         assert np.array_equal(nxt.v[spiked], nxt_tampered.v[spiked])
         state = nxt
 
@@ -122,16 +132,9 @@ def test_ternary_sign_symmetry():
     neg_state = NeuronState.zeros((6,), dtype=np.float64)
     for _ in range(12):
         drive = rng.normal(scale=0.3, size=6)
-        pos_spk, pos_state = lif_step(pos_state, drive, params, "ternary", v_thr=0.15)
-        neg_spk, neg_state = lif_step(neg_state, -drive, params, "ternary", v_thr=0.15)
+        pos_spk, pos_state = advance(pos_state, drive, params, config("ternary", 0.15))
+        neg_spk, neg_state = advance(neg_state, -drive, params, config("ternary", 0.15))
         assert np.array_equal(neg_spk, -pos_spk)
-
-
-def test_lif_step_shape_mismatch():
-    params = scalar_params(n=3)
-    state = NeuronState.zeros((3,), dtype=np.float64)
-    with pytest.raises(DimensionError):
-        lif_step(state, np.zeros(4), params, "binary")
 
 
 def test_surrogate_values():
@@ -153,16 +156,15 @@ def test_surrogate_integrates_to_sigmoid_mass():
 
 
 def test_surrogate_ternary_centerings():
-    assert spike_grad(0.0, "ternary", 2.0, 0.1, "zero") == pytest.approx(1.0)
+    assert spike_grad(0.0, config("ternary")) == pytest.approx(1.0)
+    threshold = config("ternary", centering="threshold")
     expected = 2.0 * surrogate_grad(0.1, 2.0)
-    assert spike_grad(0.0, "ternary", 2.0, 0.1, "threshold") == pytest.approx(expected)
+    assert spike_grad(0.0, threshold) == pytest.approx(expected)
     # closed form: 2 / (1 + (pi/10)^2)
     assert expected == pytest.approx(2.0 / (1.0 + (math.pi / 10.0) ** 2), abs=1e-12)
     assert expected == pytest.approx(1.82034, abs=1e-4)
     for v in (0.03, 0.4, 2.0):
-        assert spike_grad(v, "ternary", 2.0, 0.1, "threshold") == pytest.approx(
-            spike_grad(-v, "ternary", 2.0, 0.1, "threshold")
-        )
+        assert spike_grad(v, threshold) == pytest.approx(spike_grad(-v, threshold))
 
 
 @pytest.mark.parametrize("mode", ["binary", "ternary"])
@@ -170,12 +172,12 @@ def test_surrogate_ternary_centerings():
 def test_spike_grad_keeps_float32(mode, centering):
     # the adjoint scan hands spike_grad the float32 potentials of trace.v
     v = np.random.default_rng(5).normal(scale=0.5, size=(2, 3, 4)).astype(np.float32)
-    assert spike_grad(v, mode, 2.0, 0.1, centering).dtype == np.float32
+    assert spike_grad(v, config(mode, centering=centering)).dtype == np.float32
 
 
 def test_spike_grad_threshold_ternary_sums_both_threshold_bumps():
     v = np.random.default_rng(6).normal(scale=0.5, size=(3, 5)).astype(np.float32)
-    assert np.array_equal(spike_grad(v, "ternary", 2.0, 0.1, "threshold"),
+    assert np.array_equal(spike_grad(v, config("ternary", centering="threshold")),
                           surrogate_grad(v - 0.1, 2.0) + surrogate_grad(v + 0.1, 2.0))
 
 
@@ -184,14 +186,10 @@ def test_soft_spike_derivative_matches_surrogate():
     rng = np.random.default_rng(2)
     for mode in ("binary", "ternary"):
         for centering in ("zero", "threshold"):
+            cfg = config(mode, centering=centering)
             for v in rng.normal(scale=0.8, size=20):
-                fd = (
-                    soft_spike(v + h, mode, 2.0, 0.1, centering)
-                    - soft_spike(v - h, mode, 2.0, 0.1, centering)
-                ) / (2 * h)
-                assert fd == pytest.approx(
-                    float(spike_grad(v, mode, 2.0, 0.1, centering)), rel=1e-6, abs=1e-9
-                )
+                fd = (soft_spike(v + h, cfg) - soft_spike(v - h, cfg)) / (2 * h)
+                assert fd == pytest.approx(float(spike_grad(v, cfg)), rel=1e-6, abs=1e-9)
 
 
 def test_atan_sigmoid_spans_unit_interval():
@@ -224,8 +222,9 @@ def test_lif_step_matches_scalar_oracle(run):
     cells = list(np.ndindex(shape))
     neurons = [ScalarLIF(w_scd[c[-1]], w_vd[c[-1]], v_thr, mode) for c in cells]
     state = NeuronState.zeros(shape, dtype=np.float64)
+    cfg = config(mode, v_thr)
     for drive in drives:
-        spk, state = lif_step(state, drive, params, mode, v_thr=v_thr)
+        spk, state = lif_step(state, drive, params, cfg, out=state)
         expected = np.empty((3,) + shape)
         for cell, neuron in zip(cells, neurons):
             expected[(slice(None),) + cell] = neuron.step(float(drive[cell]))

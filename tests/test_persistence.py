@@ -170,6 +170,16 @@ def test_invalid_stored_network_config_rejected(tmp_path, capsys):
     assert_data_error(path, "time_steps", capsys)
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("network", "v_thr", float("nan")), ("network", "decay_init", float("inf")),
+    ("train", "adam_beta1", 1.0), ("train", "adam_eps", 0.0),
+])
+def test_stored_config_outside_the_trainable_range_rejected(tmp_path, capsys, section, key,
+                                                            value):
+    path = saved_with_header_edit(tmp_path, lambda h: h[section].update({key: value}))
+    assert_data_error(path, key, capsys)
+
+
 def test_checkpoint_of_a_run_with_no_epochs_rejected(tmp_path, capsys):
     path = saved_with_header_edit(tmp_path, lambda h: h["train"].update(epochs=0))
     assert_data_error(path, "epochs", capsys)

@@ -85,11 +85,10 @@ def test_ternary_threshold_matches_the_reference():
     assert neuron.ternary_threshold(0.1, 0.1) == oracles.ternary_threshold(0.1, 0.1)
 
 
-# (params, state, drive) dtypes; the last one promotes isc and v to float64
+# (params, state, drive) dtypes: the network's arrays share one dtype
 DTYPE_MIXES = [
     (np.float32, np.float32, np.float32),
     (np.float64, np.float64, np.float64),
-    (np.float32, np.float32, np.float64),
 ]
 
 
@@ -108,11 +107,12 @@ def test_lif_step_matches_the_reference(mode, soft, centering, param_dt, state_d
     drives = rng.normal(scale=0.3, size=(8,) + shape).astype(drive_dt)
     # some first-step potentials sit exactly on a threshold
     drives[0, 0, 0] = np.asarray([v_thr, -v_thr, 0.0, v_thr], dtype=state_dt)
-    got = want = NeuronState.zeros(shape, dtype=state_dt)
+    cfg = NetworkConfig(spike_mode=mode, alpha=2.0, v_thr=v_thr, surrogate_centering=centering)
+    got, want = NeuronState.zeros(shape, dtype=state_dt), NeuronState.zeros(shape, dtype=state_dt)
     for drive in drives:
-        kwargs = dict(mode=mode, soft=soft, alpha=2.0, v_thr=v_thr, centering=centering)
-        got_spk, got = neuron.lif_step(got, drive, params, **kwargs)
-        want_spk, want = oracles.lif_step(want, drive, params, **kwargs)
+        got_spk, got = neuron.lif_step(got, drive, params, cfg, soft, out=got)
+        want_spk, want = oracles.lif_step(want, drive, params, mode=mode, soft=soft,
+                                          alpha=2.0, v_thr=v_thr, centering=centering)
         assert_same(got_spk, want_spk)
         for name in ("spk", "isc", "v"):
             assert_same(getattr(got, name), getattr(want, name))
@@ -122,9 +122,10 @@ def test_lif_step_matches_the_reference(mode, soft, centering, param_dt, state_d
 @pytest.mark.parametrize("mode", [BINARY, TERNARY])
 def test_lif_step_matches_the_reference_on_a_scalar_state(mode):
     params = NeuronParams(w_scd=np.asarray(0.5), w_vd=np.asarray(0.8))
-    got = want = NeuronState.zeros((), dtype=np.float64)
+    cfg = NetworkConfig(spike_mode=mode)
+    got, want = NeuronState.zeros((), dtype=np.float64), NeuronState.zeros((), dtype=np.float64)
     for drive in (0.3, 0.0, -0.25, -0.1, 0.0):
-        got_spk, got = neuron.lif_step(got, drive, params, mode)
+        got_spk, got = neuron.lif_step(got, drive, params, cfg, out=got)
         want_spk, want = oracles.lif_step(want, drive, params, mode)
         assert got_spk == want_spk
         assert (got.isc, got.v) == (want.isc, want.v)

@@ -141,20 +141,23 @@ def test_single_neuron_two_step_hand_adjoint():
 
     from spiketag.neuron import soft_spike, surrogate_grad
 
+    def s(v):
+        return float(soft_spike(v, cfg))
+
     # forward replay by hand (soft spikes, alpha=2, centering zero)
     drive0 = w_enc * 0.5 + b_enc
     isc0_1 = drive0
     v0_1 = isc0_1
-    s0_1 = float(soft_spike(v0_1, "binary", 2.0, 0.1, "zero"))
+    s0_1 = s(v0_1)
     isc1_1 = w_fv * s0_1 * w_hid
     v1_1 = isc1_1
-    s1_1 = float(soft_spike(v1_1, "binary", 2.0, 0.1, "zero"))
+    s1_1 = s(v1_1)
     isc0_2 = 0.3 * isc0_1 + drive0
     v0_2 = 0.4 * v0_1 * (1 - abs(s0_1)) + isc0_2
-    s0_2 = float(soft_spike(v0_2, "binary", 2.0, 0.1, "zero"))
+    s0_2 = s(v0_2)
     isc1_2 = 0.3 * isc1_1 + w_fv * s0_2 * w_hid
     v1_2 = 0.4 * v1_1 * (1 - abs(s1_1)) + isc1_2
-    s1_2 = float(soft_spike(v1_2, "binary", 2.0, 0.1, "zero"))
+    s1_2 = s(v1_2)
     assert trace.v[1][1][0, 0, 0] == pytest.approx(v1_2, abs=1e-14)
 
     def sm(z):
@@ -239,6 +242,27 @@ def test_backward_single_step_equals_first_slice():
     assert not grads["0.w_scd"].any()
     assert not grads["0.w_vd"].any()
     assert grads["0.kernels"].any()
+
+
+@pytest.mark.parametrize("mode", ["binary", "ternary"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_gives_each_parameter_its_gradient_in_parameter_order(mode, dtype):
+    # optimizer_step reports the first non-finite gradient in this order
+    cfg, _, emb, labels, mask = tiny_setup(mode=mode, r=4)
+    mask[0, 3] = 0.0
+    net = init_network(cfg, np.random.default_rng(1), dtype=dtype)
+    _, trace = forward(emb, net, cfg, mask=mask)
+    grads = backward(trace, labels, mask, net, cfg)
+    params = named_parameters(net)
+    assert list(grads) == list(params)
+    for name, p in params.items():
+        assert isinstance(grads[name], np.ndarray)
+        assert (grads[name].shape, grads[name].dtype) == (p.shape, p.dtype), name
+    fv_neg = [name for name in params if name.endswith(".w_fv_neg")]
+    assert fv_neg == ["1.w_fv_neg", "2.w_fv_neg"]
+    for name in fv_neg:
+        # binary mode has no negative spikes, so w_fv_neg never reaches the loss
+        assert (grads[name] == 0).all() == (mode == "binary"), name
 
 
 def test_optimizer_sgd_arithmetic():
