@@ -1,9 +1,9 @@
 """Operator command line: train, eval, predict, energy, gradcheck, inspect.
 
 Every subcommand reads an optional --config key=value file, applies flag
-overrides, echoes the effective configuration, and then runs. Exit codes:
-0 success, 1 usage or configuration problem, 2 data problem, 3 numeric
-failure.
+overrides, echoes the effective configuration, checks every key against its
+domain, and then runs. Exit codes: 0 success, 1 usage or configuration
+problem (running out of memory included), 2 data problem, 3 numeric failure.
 """
 
 import argparse
@@ -59,7 +59,7 @@ def build_parser():
         p.add_argument("--seed", type=int)
         p.add_argument("--lr", type=float)
         p.add_argument("--epochs", type=int)
-        p.add_argument("--spike-mode", dest="spike_mode", choices=SPIKE_MODES)
+        p.add_argument("--spike-mode", dest="spike_mode")
         p.add_argument("--time-steps", dest="time_steps", type=int)
 
     p_train = sub.add_parser("train", help="train and write the best checkpoint")
@@ -87,7 +87,7 @@ def effective_config(args):
     cfg = load_config_file(args.config) if args.config else RunConfig()
     apply_overrides(cfg, {k: v for k, v in vars(args).items() if k in KEYS})
     print(cfg.echo())
-    return cfg
+    return cfg.validate()
 
 
 def require_path(path, what):
@@ -108,9 +108,7 @@ def load_dataset(cfg):
 
 def cmd_train(args):
     cfg = effective_config(args)
-    # what needs no data is checked before the corpus and the table are read
-    net_cfg = cfg.network.validate()
-    train_cfg = cfg.train.validate()
+    net_cfg, train_cfg = cfg.network, cfg.train
     corpus, table = load_dataset(cfg)
     if net_cfg.embedding_dim and net_cfg.embedding_dim != table.dim:
         raise ConfigError(
@@ -271,6 +269,9 @@ def main(argv=None):
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:  # numpy's message names the array's shape and size
+        print(f"configuration error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except SpiketagError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

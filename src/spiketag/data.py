@@ -13,6 +13,7 @@ import numpy as np
 from .errors import ConfigError, ParseError
 
 LABELS = ("O", "B", "I")
+CORPUS_MODES = ("strict", "lenient")
 LABEL_TO_ID = {lab: i for i, lab in enumerate(LABELS)}
 # Table lines per np.loadtxt call. This bounds loadtxt's float64 copy and the
 # pending value text; each parsed chunk then goes straight into the table.
@@ -101,7 +102,7 @@ def load_corpus(path, mode="strict"):
     sentence; lenient mode rewrites it to B (the repair count is tallied on
     the function attribute `last_repairs` for reporting).
     """
-    if mode not in ("strict", "lenient"):
+    if mode not in CORPUS_MODES:
         raise ConfigError(f"unknown corpus mode {mode!r}")
     examples = []
     repairs = 0
@@ -283,8 +284,6 @@ def batchify(examples, table, batch_size, rng=None):
     row, which is how callers put results back in input order. Padded
     positions get zero embeddings, label 0, and mask 0.
     """
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if rng is None:
         order = sorted(range(len(examples)), key=lambda i: len(examples[i].tokens))
     else:
@@ -312,8 +311,6 @@ def batchify(examples, table, batch_size, rng=None):
 
 def split_validation(examples, n_val, seed):
     """Seeded uniform held-out sample; both partitions keep corpus order."""
-    if n_val < 0:
-        raise ConfigError(f"validation size must be >= 0, got {n_val}")
     if n_val == 0:
         return list(examples), []
     if n_val >= len(examples):

@@ -43,8 +43,9 @@ happens to carry.
 """
 
 import math
+import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -71,43 +72,51 @@ USABLE_CORES = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffi
 SPLIT_MIN_ELEMENTS = 2**15
 
 
+def in_domain(default, text, holds=lambda value: True):
+    """A config field whose domain is its annotated type where `holds` is true;
+    `text` names it, type included, in errors and in the README's key list."""
+    return field(default=default, metadata={"domain": text, "holds": holds})
+
+
+def at_least(default, low):
+    return in_domain(default, f"an integer >= {low}", lambda n: n >= low)
+
+
+def one_of(default, choices):
+    return in_domain(default, "one of " + ", ".join(map(repr, choices)), choices.__contains__)
+
+
+_TYPES = {int: numbers.Integral, float: numbers.Real, str: str}
+
+
+def check_domains(cfg):
+    """Return `cfg`, or raise a ConfigError naming its first field outside its
+    domain; fields go in declaration order, nested configs walked in place."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(f.type):
+            check_domains(value)
+        elif (isinstance(value, bool)  # an int subclass, which no config field takes
+              or not isinstance(value, _TYPES[f.type]) or not f.metadata["holds"](value)):
+            raise ConfigError(f"{f.name} must be {f.metadata['domain']}, got {value!r}")
+    return cfg
+
+
 @dataclass
 class NetworkConfig:
-    time_steps: int = 6
-    spike_mode: str = TERNARY
-    channels: int = 128
-    kernel: int = 5
-    n_spiking_conv: int = 3
-    v_thr: float = 0.1
-    decay_init: float = 0.1
-    alpha: float = 2.0
-    embedding_dim: int = 0  # 0 = take from the embedding table
-    surrogate_centering: str = CENTER_ZERO
+    time_steps: int = at_least(6, 1)
+    spike_mode: str = one_of(TERNARY, SPIKE_MODES)
+    channels: int = at_least(128, 1)
+    kernel: int = in_domain(5, "an odd integer >= 1", lambda n: n >= 1 and n % 2 == 1)
+    n_spiking_conv: int = in_domain(3, "an integer in 1..4", lambda n: 1 <= n <= 4)
+    v_thr: float = in_domain(0.1, "a finite number > 0", lambda x: 0 < x < math.inf)
+    decay_init: float = in_domain(0.1, "a finite number", lambda x: -math.inf < x < math.inf)
+    alpha: float = in_domain(2.0, "a finite number > 0", lambda x: 0 < x < math.inf)
+    embedding_dim: int = at_least(0, 0)  # 0 = take from the embedding table
+    surrogate_centering: str = one_of(CENTER_ZERO, CENTERINGS)
 
     def validate(self):
-        if self.time_steps < 1:
-            raise ConfigError(f"time_steps must be >= 1, got {self.time_steps}")
-        if not 1 <= self.n_spiking_conv <= 4:
-            raise ConfigError(
-                f"n_spiking_conv must be in 1..4, got {self.n_spiking_conv}"
-            )
-        if self.spike_mode not in SPIKE_MODES:
-            raise ConfigError(f"unknown spike_mode {self.spike_mode!r}")
-        if self.surrogate_centering not in CENTERINGS:
-            raise ConfigError(
-                f"unknown surrogate_centering {self.surrogate_centering!r}"
-            )
-        if not (math.isfinite(self.v_thr) and self.v_thr > 0):
-            raise ConfigError(f"v_thr must be finite and > 0, got {self.v_thr}")
-        if not math.isfinite(self.decay_init):
-            raise ConfigError(f"decay_init must be finite, got {self.decay_init}")
-        if self.kernel < 1 or self.kernel % 2 == 0:
-            raise ConfigError(f"kernel must be odd and >= 1, got {self.kernel}")
-        if self.channels < 1:
-            raise ConfigError(f"channels must be >= 1, got {self.channels}")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ConfigError(f"alpha must be finite and > 0, got {self.alpha}")
-        return self
+        return check_domains(self)
 
 
 @dataclass

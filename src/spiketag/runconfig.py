@@ -4,28 +4,34 @@ A run is a NetworkConfig, a TrainConfig and six run keys of its own. Every
 field of the two is a config key under its own name, except
 TrainConfig.learning_rate, whose key is `lr` (checkpoint headers keep the
 field name). Unknown keys are rejected. The effective configuration is echoed
-at startup, one sorted key=value line each, so every run is auditable.
+at startup, one sorted key=value line each, so every run is auditable; then
+validate checks each key against the domain its field declares (in_domain).
 """
 
+from contextlib import suppress
 from dataclasses import dataclass, field, fields, is_dataclass
 
+from .data import CORPUS_MODES
 from .errors import ConfigError
-from .layers import NetworkConfig
+from .layers import NetworkConfig, at_least, check_domains, in_domain, one_of
 from .training import TrainConfig
 
 
 @dataclass
 class RunConfig:
     # paths
-    data: str = ""
-    embeddings: str = ""
-    ckpt: str = ""
-    out: str = ""
+    data: str = in_domain("", "a path")
+    embeddings: str = in_domain("", "a path")
+    ckpt: str = in_domain("", "a path")
+    out: str = in_domain("", "a path")
     # data handling
-    corpus_mode: str = "strict"
-    val_size: int = 150
+    corpus_mode: str = one_of("strict", CORPUS_MODES)
+    val_size: int = at_least(150, 0)
     network: NetworkConfig = field(default_factory=NetworkConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
+
+    def validate(self):
+        return check_domains(self)
 
     def echo(self):
         return "\n".join(f"{key}={getattr(*_slot(self, key))}" for key in sorted(KEYS))
@@ -56,12 +62,8 @@ def _slot(cfg, key):
 
 
 def _set(cfg, key, raw):
-    ftype = KEYS[key][1].type
-    if ftype in (int, float):
-        try:
-            raw = ftype(raw)
-        except ValueError:
-            raise ConfigError(f"config key {key}: cannot parse {raw!r} as a number")
+    with suppress(ValueError):  # a string left unparsed fails validate's type check
+        raw = KEYS[key][1].type(raw)
     setattr(*_slot(cfg, key), raw)
 
 

@@ -34,8 +34,12 @@ from .errors import ConfigError, DimensionError, NumericError
 from .layers import (
     N_CLASSES,
     NetworkConfig,
+    at_least,
+    check_domains,
     forward,
+    in_domain,
     init_network,
+    one_of,
     weighted_spikes,
 )
 from .neuron import BINARY, TERNARY, spike_grad
@@ -46,31 +50,17 @@ PROB_FLOOR_32 = 1e-12
 
 @dataclass
 class TrainConfig:
-    batch_size: int = 8
-    learning_rate: float = 1e-4
-    epochs: int = 50
-    seed: int = 0
-    optimizer: str = "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
+    batch_size: int = at_least(8, 1)
+    learning_rate: float = in_domain(1e-4, "a finite number >= 0", lambda x: 0 <= x < math.inf)
+    epochs: int = at_least(50, 1)
+    seed: int = at_least(0, 0)
+    optimizer: str = one_of("adam", ("sgd", "adam"))
+    adam_beta1: float = in_domain(0.9, "a number in [0, 1)", lambda x: 0 <= x < 1)
+    adam_beta2: float = in_domain(0.999, "a number in [0, 1)", lambda x: 0 <= x < 1)
+    adam_eps: float = in_domain(1e-8, "a finite number > 0", lambda x: 0 < x < math.inf)
 
     def validate(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ConfigError(
-                f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
-            raise ConfigError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
-        return self
+        return check_domains(self)
 
 
 def named_parameters(net):
@@ -420,7 +410,6 @@ def grad_check(net_cfg: NetworkConfig, seed=0):
     sentence and perturbs every parameter entry by +/-h.
     """
     h = 1e-5
-    net_cfg.validate()
     rng = np.random.default_rng([seed, 3])
     net = init_network(net_cfg, rng, dtype=np.float64)
     b, r = 1, 3

@@ -9,6 +9,7 @@ import pytest
 from spiketag.cli import main
 from spiketag.layers import NetworkConfig
 from spiketag.persistence import load, restore_network, save
+from spiketag.runconfig import KEYS
 from spiketag.training import TrainConfig, named_parameters
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -463,18 +464,103 @@ def test_train_checks_its_config_before_reading_the_data(capsys, tmp_path, flag)
 
 # each of these trained a network that never fires, stopped on a non-finite
 # gradient after the first step, or divided by zero in the adam update
-@pytest.mark.parametrize("key, value", [
+EARLIER_CASES = [
     ("v_thr", "nan"), ("v_thr", "inf"), ("alpha", "nan"), ("decay_init", "nan"),
     ("lr", "nan"), ("adam_beta1", "1.0"), ("adam_beta1", "1.5"), ("adam_beta2", "-1"),
     ("adam_eps", "0"), ("adam_eps", "inf"),
-])
-def test_train_checks_its_config_file_before_reading_the_data(capsys, tmp_path, key, value):
-    cfg = small_config(tmp_path, embeddings=tmp_path / "missing.txt", **{key: value})
-    code, _, err = run(capsys, "train", "--config", cfg)
+]
+# Every key gets each of these values. An oversized integer is left to
+# test_running_out_of_memory_is_a_config_error: an oversized epochs would only run long.
+WALK_VALUES = ("-1", "0", "nan", "inf", "x")
+PATH_KEYS = ("data", "embeddings", "ckpt", "out")
+# the walked values inside each key's domain; a path key takes every one
+INSIDE = {"val_size": {"0"}, "decay_init": {"-1", "0"}, "embedding_dim": {"0"}, "lr": {"0"},
+          "seed": {"0"}, "adam_beta1": {"0"}, "adam_beta2": {"0"}}
+
+
+def walk_cases():
+    cases = [pytest.param("train", key, value, id=f"{key}-{value}")
+             for key, value in EARLIER_CASES]
+    for command in ("train", "eval"):
+        for key in KEYS:
+            cases.extend(pytest.param(command, key, value, id=f"{command}-{key}-{value}")
+                         for value in WALK_VALUES
+                         if command == "eval" or (key, value) not in EARLIER_CASES)
+    return cases
+
+
+@pytest.fixture(scope="module")
+def trained_ckpt(tmp_path_factory):
+    """A C=8, one-conv checkpoint trained for one epoch on toy40."""
+    out = tmp_path_factory.mktemp("trained")
+    assert main(["train", "--config", small_config(out, epochs=1)]) == 0
+    return str(out / "model.ckpt")
+
+
+@pytest.mark.parametrize("command, key, value", walk_cases())
+def test_train_checks_its_config_file_before_reading_the_data(capsys, tmp_path, monkeypatch,
+                                                             trained_ckpt, command, key,
+                                                             value):
+    """Every key on train and eval: a value outside its domain is a config error
+    reported before the table is read, and one inside it runs."""
+    monkeypatch.chdir(tmp_path)  # a path value names a file or directory in here
+    inside = key in PATH_KEYS or value in INSIDE.get(key, ())
+    settings = {"epochs": 1, "embeddings": TOY_EMB if inside else tmp_path / "missing.txt"}
+    if command == "eval":
+        settings["ckpt"] = trained_ckpt
+    settings[key] = value
+    code, out, err = run(capsys, command, "--config", small_config(tmp_path, **settings))
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    if not inside:
+        field = "learning_rate" if key == "lr" else key
+        assert code == 1
+        assert "configuration error" in err and f"{field} must be" in err
+        assert "missing.txt" not in err
+    elif key in ("data", "embeddings") or (command, key) == ("eval", "ckpt"):
+        assert code == 2
+        assert "data error" in err and "does not exist" in err
+    elif (command, key) == ("train", "val_size"):
+        assert code == 1
+        assert "validation set is empty" in err
+    else:
+        assert code == 0, err
+        assert ("checkpoint written to" if command == "train" else "P\tR\tF1") in out
+
+
+@pytest.mark.parametrize("command", ["train", "gradcheck", "energy"])
+def test_a_negative_seed_is_a_config_error(capsys, tmp_path, trained_ckpt, command):
+    code, out, err = run(capsys, command, "--config", small_config(tmp_path),
+                         "--ckpt", trained_ckpt, "--seed", "-1")
     assert code == 1
-    field = "learning_rate" if key == "lr" else key
-    assert "configuration error" in err and f"{field} must be" in err
-    assert "missing.txt" not in err and "RuntimeWarning" not in err
+    assert "configuration error: seed must be an integer >= 0, got -1" in err
+    assert "Traceback" not in err and "\t" not in out
+
+
+@pytest.mark.parametrize("asked", [{"time_steps": 10**7}, {"channels": 10**6}],
+                         ids=["time_steps", "channels"])
+def test_running_out_of_memory_is_a_config_error(tmp_path, asked):
+    # the child caps its own address space at about 3 GB before numpy is imported,
+    # so the tens of GiB asked for are refused without touching the host's memory
+    child = ("import resource, sys; limit = 3 * 10**9; "
+             "resource.setrlimit(resource.RLIMIT_AS, (limit, limit)); "
+             "from spiketag.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    proc = subprocess.run([sys.executable, "-c", child, "train", "--config",
+                           small_config(tmp_path, epochs=1, **asked)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("configuration error: out of memory: Unable to allocate")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_the_readme_lists_every_key_with_its_domain():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as fh:
+        readme = fh.read()
+    for key, (_, f) in KEYS.items():
+        assert f"- `{key}`: {f.metadata['domain']}" in readme, key
 
 
 @pytest.mark.parametrize("parent", ["nodir", "a_file"])

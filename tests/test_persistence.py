@@ -173,6 +173,9 @@ def test_invalid_stored_network_config_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("section, key, value", [
     ("network", "v_thr", float("nan")), ("network", "decay_init", float("inf")),
     ("train", "adam_beta1", 1.0), ("train", "adam_eps", 0.0),
+    # a stored value of the wrong type
+    ("network", "time_steps", 6.5), ("network", "channels", 8.0), ("network", "kernel", True),
+    ("train", "batch_size", 2.5),
 ])
 def test_stored_config_outside_the_trainable_range_rejected(tmp_path, capsys, section, key,
                                                             value):
