@@ -97,9 +97,18 @@ def check_domains(cfg):
         if is_dataclass(f.type):
             check_domains(value)
         elif (isinstance(value, bool)  # an int subclass, which no config field takes
-              or not isinstance(value, _TYPES[f.type]) or not f.metadata["holds"](value)):
+              or not isinstance(value, _TYPES[f.type])
+              or not f.metadata["holds"](_as_float(value) if f.type is float else value)):
             raise ConfigError(f"{f.name} must be {f.metadata['domain']}, got {value!r}")
     return cfg
+
+
+def _as_float(x):
+    """float(x), or nan, which no float domain holds, for an int beyond float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.nan
 
 
 @dataclass

@@ -194,7 +194,8 @@ def _copy_stored(checkpoint, name, target):
 
 
 def restore_network(checkpoint: Checkpoint):
-    """Rebuild (net, opt_state) from a loaded checkpoint.
+    """Rebuild (net, opt_state) from a loaded checkpoint; net's parameters are
+    views of opt_state's buffer (training.OptimizerState.for_network).
 
     Every stored tensor must be a parameter of the configured network or one
     of its Adam moments. The moments are all or nothing: a checkpoint holding

@@ -27,6 +27,7 @@ gradient check cannot see this: soft spikes are never exactly 0.
 import copy
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -241,54 +242,104 @@ def backward(trace, labels, mask, net, cfg: NetworkConfig):
     return {name: grads[name] for name in named_parameters(net)}
 
 
-@dataclass
+def _views(buffer, shapes):
+    """name -> the view of the 1-d `buffer` holding that array, packed in order."""
+    views, end = {}, 0
+    for name, shape in shapes.items():
+        start, end = end, end + math.prod(shape)
+        views[name] = buffer[start:end].reshape(shape)
+    return views
+
+
 class OptimizerState:
-    step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    """The optimizer's state over the parameters of one network, held flat.
+
+    for_network copies the network's parameters, in named_parameters order,
+    into one contiguous buffer and rebinds each array as a view of it, so a
+    step updates them all in one pass. Adam's moments are one buffer each;
+    m[name] and v[name] are views of them, shaped like the parameter. The
+    state also owns the gradient buffer and the one scratch array a step
+    works in. A deep copy is a snapshot of step, m and v, what a checkpoint
+    stores; it is bound to no network and holds no gradient or scratch.
+    """
+
+    def __init__(self, shapes, step, m, v):
+        self.step = step
+        self._shapes, self._m, self._v = shapes, m, v
+        self._params = {}  # name -> the view each network array is, once bound
+        self._flat = self._grad = self._scratch = None
+
+    # made on first use: a step reads only the buffers
+    m = cached_property(lambda self: _views(self._m, self._shapes))
+    v = cached_property(lambda self: _views(self._v, self._shapes))
 
     @classmethod
     def for_network(cls, net):
-        state = cls()
-        for name, p in named_parameters(net).items():
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
+        """Fresh state for net, whose parameters become views of one buffer."""
+        params = named_parameters(net)
+        flat = np.concatenate(list(params.values()), axis=None)
+        shapes = {name: p.shape for name, p in params.items()}
+        state = cls(shapes, 0, np.zeros(flat.size, flat.dtype), np.zeros(flat.size, flat.dtype))
+        state._flat, state._grad, state._scratch = flat, np.empty_like(flat), np.empty_like(flat)
+        state._params = _views(flat, shapes)
+        for name, view in state._params.items():
+            i, attr = name.split(".")
+            layer = net[int(i)]
+            setattr(layer if attr in ("kernels", "bias") else layer.neuron, attr, view)
         return state
+
+    def __deepcopy__(self, memo):
+        return OptimizerState(self._shapes, self.step, self._m.copy(), self._v.copy())
 
 
 def optimizer_step(net, grads, opt_state, cfg: TrainConfig):
-    """Apply one sgd or adam update in place; aborts on non-finite gradients."""
+    """Apply one sgd or adam update in place; aborts on non-finite gradients.
+
+    The update runs once over opt_state's parameter buffer, so net must be
+    the network opt_state was made for, its arrays still the views
+    OptimizerState.for_network bound: any other network, a deep copy
+    included, is a ConfigError. The gradients are
+    gathered in named_parameters order into the state's gradient buffer, in
+    the parameters' dtype. If one is not finite, NumericError names the first
+    such parameter and nothing changes. The operations, and so every rounding,
+    are those of Adam (or sgd) applied to each parameter on its own.
+    """
+    bound = opt_state._params
     params = named_parameters(net)
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient in {name}")
+    if len(params) != len(bound) or any(p is not q for p, q in zip(params.values(),
+                                                                    bound.values())):
+        raise ConfigError("optimizer state was made for another network; "
+                          "OptimizerState.for_network(net) makes one for net")
+    g = np.concatenate([grads[name] for name in bound], axis=None, out=opt_state._grad)
+    if not np.isfinite(g).all():
+        bad = next(name for name, x in _views(g, opt_state._shapes).items()
+                   if not np.isfinite(x).all())
+        raise NumericError(f"non-finite gradient in {bad}")
+    p, s = opt_state._flat, opt_state._scratch
     lr = cfg.learning_rate
     if cfg.optimizer == "sgd":
-        for name, p in params.items():
-            p -= lr * grads[name]
+        g *= lr
+        p -= g
         return
     opt_state.step += 1
     t = opt_state.step
     b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
-    for name, p in params.items():
-        g = grads[name]
-        m = opt_state.m[name]
-        v = opt_state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        g2 = (1.0 - b2) * g
-        g2 *= g
-        v *= b2
-        v += g2
-        # p -= lr * m_hat / (sqrt(v_hat) + eps)
-        step = m / corr1
-        step *= lr
-        den = np.sqrt(v / corr2)
-        den += eps
-        step /= den
-        p -= step
+    m, v = opt_state._m, opt_state._v
+    m *= b1
+    m += np.multiply(1.0 - b1, g, out=s)
+    g2 = np.multiply(1.0 - b2, g, out=s)
+    g2 *= g
+    v *= b2
+    v += g2
+    # p -= lr * m_hat / (sqrt(v_hat) + eps), the step built in g, which is read no more
+    step = np.divide(m, corr1, out=g)
+    step *= lr
+    den = np.sqrt(np.divide(v, corr2, out=s), out=s)
+    den += eps
+    step /= den
+    p -= step
 
 
 @dataclass

@@ -176,6 +176,9 @@ def test_invalid_stored_network_config_rejected(tmp_path, capsys):
     # a stored value of the wrong type
     ("network", "time_steps", 6.5), ("network", "channels", 8.0), ("network", "kernel", True),
     ("train", "batch_size", 2.5),
+    # an integer literal beyond float range
+    pytest.param("network", "v_thr", 10**400, id="network-v_thr-1e400"),
+    pytest.param("network", "decay_init", 10**400, id="network-decay_init-1e400"),
 ])
 def test_stored_config_outside_the_trainable_range_rejected(tmp_path, capsys, section, key,
                                                             value):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from spiketag import neuron, tensorops
+from spiketag import neuron, persistence, tensorops
 from spiketag.layers import NetworkConfig, init_network
 from spiketag.neuron import BINARY, CENTERINGS, TERNARY, NeuronParams, NeuronState
 from spiketag.training import OptimizerState, TrainConfig, named_parameters, optimizer_step
@@ -154,3 +154,63 @@ def test_optimizer_step_matches_the_reference(optimizer, dtype):
         if optimizer == "adam":
             assert_same(got_opt.m[name], want_opt.m[name])
             assert_same(got_opt.v[name], want_opt.v[name])
+
+
+# the benchmark's training shapes: sweep-narrow's two C=32 nets and train-toy's
+BENCH_SHAPES = {
+    "C32-binary-T4": dict(channels=32, spike_mode=BINARY, time_steps=4),
+    "C32-ternary-T6": dict(channels=32, spike_mode=TERNARY, time_steps=6),
+    "C128-ternary-T6": dict(channels=128, spike_mode=TERNARY, time_steps=6),
+}
+
+
+def random_grads(net, rng):
+    return {name: rng.normal(size=p.shape).astype(p.dtype)
+            for name, p in named_parameters(net).items()}
+
+
+def assert_steps_match_the_reference(net, opt, optimizer, rng, steps=3):
+    """Step net (whose parameters opt holds in one buffer) and a per-array
+    copy of it side by side, the copy through the reference optimizer."""
+    want_net, want_opt = copy.deepcopy(net), copy.deepcopy(opt)
+    train_cfg = TrainConfig(optimizer=optimizer, learning_rate=1e-3)
+    for _ in range(steps):
+        grads = random_grads(net, rng)
+        optimizer_step(net, grads, opt, train_cfg)
+        oracles.optimizer_step(want_net, copy.deepcopy(grads), want_opt, train_cfg)
+    assert opt.step == want_opt.step
+    want_params = named_parameters(want_net)
+    for name, p in named_parameters(net).items():
+        assert_same(p, want_params[name])
+        assert_same(opt.m[name], want_opt.m[name])
+        assert_same(opt.v[name], want_opt.v[name])
+
+
+@pytest.mark.parametrize("shape", list(BENCH_SHAPES))
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_flat_optimizer_step_matches_the_reference_at_benchmark_shapes(optimizer, dtype,
+                                                                      shape):
+    rng = np.random.default_rng(21)
+    net = init_network(NetworkConfig(embedding_dim=16, **BENCH_SHAPES[shape]), rng,
+                       dtype=dtype)
+    assert_steps_match_the_reference(net, OptimizerState.for_network(net), optimizer, rng)
+
+
+@pytest.mark.parametrize("shape", list(BENCH_SHAPES))
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_flat_optimizer_step_matches_the_reference_on_a_restored_network(
+        tmp_path, optimizer, shape):
+    # a checkpoint restores float32 parameters and moments from mid-run state
+    rng = np.random.default_rng(22)
+    net_cfg = NetworkConfig(embedding_dim=16, **BENCH_SHAPES[shape])
+    net = init_network(net_cfg, rng, dtype=np.float32)
+    opt = OptimizerState.for_network(net)
+    for _ in range(2):
+        optimizer_step(net, random_grads(net, rng), opt, TrainConfig(learning_rate=1e-3))
+    path = str(tmp_path / "mid.ckpt")
+    persistence.save(persistence.checkpoint_from_training(net, net_cfg, TrainConfig(), opt),
+                     path)
+    restored, restored_opt = persistence.restore_network(persistence.load(path))
+    assert restored_opt.step == 2 and restored_opt.v["1.kernels"].any()
+    assert_steps_match_the_reference(restored, restored_opt, optimizer, rng)

@@ -89,6 +89,30 @@ def test_backward_passes_input_grad_the_layer_kernels_deepest_first(monkeypatch,
     assert all(got is want for got, want in zip(seen, expected))
 
 
+def test_a_flat_network_passes_input_grad_its_own_kernels(monkeypatch, traced):
+    # OptimizerState.for_network rebinds every parameter as a view of one
+    # buffer; after that, and after a step through it, each input-grad conv
+    # still receives net[li].kernels itself, the object forward saw
+    cfg, net, emb, mask = traced
+    labels = np.zeros((2, 4), dtype=np.int64)
+    opt = training.OptimizerState.for_network(net)
+    _, trace = forward(emb, net, cfg, mask=mask)
+    training.optimizer_step(net, training.backward(trace, labels, mask, net, cfg), opt,
+                            training.TrainConfig())
+    layer_args = []
+    for attr in ("encode_step", "spiking_conv_step", "output_logits"):
+        spy_on(monkeypatch, layers, attr, 1, layer_args)
+    _, trace = forward(emb, net, cfg, mask=mask)
+    seen = spy_on(monkeypatch, training, "conv1d_same_input_grad", 1)
+    training.backward(trace, labels, mask, net, cfg)
+    assert all(got is want for got, want in zip(layer_args, net, strict=True))
+    expected = [net[li].kernels for li in range(len(net) - 2, 0, -1)]
+    assert len(seen) == len(expected) == cfg.n_spiking_conv
+    assert all(got is want for got, want in zip(seen, expected))
+    assert net[0].kernels.base is not None
+    assert all(k.base is net[0].kernels.base for k in expected)  # one buffer
+
+
 def test_backward_passes_spike_grad_the_trace_potentials_deepest_first(monkeypatch, traced):
     # the tracer attributes backward time to a layer by matching spike_grad's
     # `v` argument, by identity, to trace.v[li][t], the array lif_step returned

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from spiketag import training
 from spiketag.data import split_validation
-from spiketag.errors import NumericError
+from spiketag.errors import ConfigError, NumericError
 from spiketag.layers import NetworkConfig, forward, init_network
 from spiketag.training import (
     OptimizerState,
@@ -268,12 +270,13 @@ def test_backward_gives_each_parameter_its_gradient_in_parameter_order(mode, dty
 def test_optimizer_sgd_arithmetic():
     cfg = NetworkConfig(embedding_dim=2, channels=2, kernel=3, n_spiking_conv=1)
     net = init_network(cfg, np.random.default_rng(0), dtype=np.float32)
+    opt = OptimizerState.for_network(net)  # rebinds the arrays named_parameters returns
     params = named_parameters(net)
     params["0.kernels"][...] = 1.0
     grads = {name: np.zeros_like(p) for name, p in params.items()}
     grads["0.kernels"][...] = 0.5
     tcfg = TrainConfig(optimizer="sgd", learning_rate=0.1)
-    optimizer_step(net, grads, OptimizerState.for_network(net), tcfg)
+    optimizer_step(net, grads, opt, tcfg)
     assert np.allclose(params["0.kernels"], 0.95)
 
 
@@ -309,6 +312,101 @@ def test_optimizer_rejects_non_finite_gradients():
     grads["0.bias"][0] = np.nan
     with pytest.raises(NumericError):
         optimizer_step(net, grads, OptimizerState.for_network(net), TrainConfig())
+
+
+def stepped_adam(seed):
+    """A small float32 net and its flat Adam state one step in, so m, v and step are set."""
+    cfg = NetworkConfig(embedding_dim=2, channels=3, kernel=3, n_spiking_conv=2)
+    net = init_network(cfg, np.random.default_rng(seed), dtype=np.float32)
+    opt = OptimizerState.for_network(net)
+    optimizer_step(net, {n: np.full_like(p, 0.5) for n, p in named_parameters(net).items()},
+                   opt, TrainConfig())
+    return cfg, net, opt
+
+
+def frozen(net, opt):
+    """Copies of every parameter and moment, and the step count."""
+    return ({n: p.copy() for n, p in named_parameters(net).items()},
+            {n: m.copy() for n, m in opt.m.items()},
+            {n: v.copy() for n, v in opt.v.items()}, opt.step)
+
+
+def assert_unchanged(net, opt, before):
+    params, m, v, step = before
+    assert opt.step == step
+    for name, p in named_parameters(net).items():
+        assert np.array_equal(p, params[name]), name
+        assert np.array_equal(opt.m[name], m[name]), name
+        assert np.array_equal(opt.v[name], v[name]), name
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_a_non_finite_gradient_names_the_first_parameter_and_changes_nothing(optimizer):
+    _, net, opt = stepped_adam(4)
+    before = frozen(net, opt)
+    grads = {n: np.ones_like(p) for n, p in named_parameters(net).items()}
+    grads["2.w_vd"][1] = np.inf
+    grads["1.bias"][0] = np.nan
+    # the dict's own order does not decide which one is named
+    grads = dict(reversed(grads.items()))
+    with pytest.raises(NumericError, match=r"in 1\.bias$"):
+        optimizer_step(net, grads, opt, TrainConfig(optimizer=optimizer))
+    assert_unchanged(net, opt, before)
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+@pytest.mark.parametrize("other", ["deep copy", "another network", "re-adopted",
+                                   "state snapshot"])
+def test_a_state_refuses_a_network_whose_arrays_it_does_not_hold(other, optimizer):
+    cfg, net, opt = stepped_adam(5)
+    if other == "deep copy":
+        target, state = copy.deepcopy(net), opt
+    elif other == "another network":
+        target = init_network(cfg, np.random.default_rng(6), dtype=np.float32)
+        OptimizerState.for_network(target)
+        state = opt
+    elif other == "re-adopted":  # a second state moved net's arrays to its own buffer
+        OptimizerState.for_network(net)
+        target, state = net, opt
+    else:  # a deep copy of the state snapshots step, m and v for a checkpoint
+        target, state = net, copy.deepcopy(opt)
+        assert state.step == opt.step
+        assert all(np.array_equal(state.v[n], opt.v[n]) for n in opt.v)
+    before = frozen(target, state)
+    grads = {n: np.ones_like(p) for n, p in named_parameters(target).items()}
+    with pytest.raises(ConfigError, match="made for another network"):
+        optimizer_step(target, grads, state, TrainConfig(optimizer=optimizer))
+    assert_unchanged(target, state, before)
+
+
+def test_the_flat_state_holds_two_buffers_more_than_per_parameter_adam():
+    # train-toy's shape (C=128, E=16, T=6, batch 8). Per-parameter Adam kept the
+    # parameters, m and v alive: three parameter-sized buffers. The flat state adds
+    # the gradient buffer and the scratch. A best-epoch copy of it holds m and v.
+    cfg = NetworkConfig(embedding_dim=16)
+    rng = np.random.default_rng(7)
+    emb = rng.normal(size=(8, 12, 16)).astype(np.float32)
+    labels = rng.integers(0, 3, size=(8, 12))
+    mask = np.ones((8, 12), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        net = init_network(cfg, rng, dtype=np.float32)
+        nbytes = sum(p.nbytes for p in named_parameters(net).values())
+        opt = OptimizerState.for_network(net)
+        _, trace = forward(emb, net, cfg, mask=mask)
+        grads = backward(trace, labels, mask, net, cfg)
+        optimizer_step(net, grads, opt, TrainConfig())
+        del trace, grads
+        held = tracemalloc.get_traced_memory()[0]
+        snapshot = copy.deepcopy(opt)
+        copied = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+    assert snapshot.step == 1
+    slack = 64 * 1024  # dicts, views and the network's Python objects
+    assert nbytes > 8 * slack
+    assert 5 * nbytes <= held <= 5 * nbytes + slack
+    assert 2 * nbytes <= copied <= 2 * nbytes + slack
 
 
 def toy_training_inputs(toy_corpus, toy_table, n=24):
