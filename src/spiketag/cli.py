@@ -7,6 +7,7 @@ problem (running out of memory included), 2 data problem, 3 numeric failure.
 """
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -172,8 +173,11 @@ def cmd_predict(args):
     cfg = effective_config(args)
     table = load_embeddings(require_path(cfg.embeddings, "embeddings"))
     net, net_cfg = load_model(cfg, table)
-    sentences = [[line.strip() for _, line in block]
-                 for block in read_blocks(require_path(args.input, "input"))]
+    blocks = list(read_blocks(require_path(args.input, "input")))
+    for line_no, line in (pair for block in blocks for pair in block):
+        if "\t" in line.strip():  # its output line would have three columns
+            raise ParseError("a predict input line holds a tab", path=args.input, line=line_no)
+    sentences = [[line.strip() for _, line in block] for block in blocks]
     examples = [Example(tokens=toks, labels=["O"] * len(toks)) for toks in sentences]
     labels = dict(predict(examples, table, net, net_cfg, cfg.train.batch_size))
     for i, toks in enumerate(sentences):
@@ -201,8 +205,6 @@ def cmd_energy(args):
     batch = batchify(sample, table, len(sample))[0]
     report = profile_network(net, batch, net_cfg)
     print(report.rows())
-    import json
-
     print(json.dumps(report.to_dict(), sort_keys=True))
     return EXIT_OK
 

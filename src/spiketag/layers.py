@@ -56,7 +56,6 @@ from .neuron import (
     CENTERINGS,
     SPIKE_MODES,
     TERNARY,
-    NeuronParams,
     NeuronState,
     lif_step,
 )
@@ -130,16 +129,24 @@ class NetworkConfig:
 
 @dataclass
 class LayerParams:
-    """Named parameter set for one layer; its role is its position in the network.
+    """One layer's trainable arrays, named as in a checkpoint ('<layer>.<field>')
+    and declared in training.named_parameters order; a layer's role is its
+    position in the network, and its firing threshold is the config's.
 
     kernels is (Cout, Cin, K) for the encoder and the spiking convs and (|Y|, C)
-    for the output decoder, which has no neuron. The encoder's drive is the raw
-    conv output, so its neuron carries no postsynaptic spike weights.
+    for the output decoder. w_scd/w_vd are the neurons' per-channel decay
+    weights, unconstrained reals; w_fv_pos/w_fv_neg the scalar weights a
+    spiking conv puts on its input spikes (binary mode ignores w_fv_neg). A
+    field the layer lacks is None: the decoder has no neurons, and the
+    encoder's drive is the raw conv output.
     """
 
     kernels: np.ndarray
     bias: np.ndarray
-    neuron: NeuronParams | None = None
+    w_scd: np.ndarray | None = None
+    w_vd: np.ndarray | None = None
+    w_fv_pos: np.ndarray | None = None
+    w_fv_neg: np.ndarray | None = None
 
 
 def glorot_uniform(rng, shape, fan_in, fan_out, dtype):
@@ -158,34 +165,22 @@ def init_network(cfg: NetworkConfig, rng, dtype=np.float32):
         raise ConfigError("embedding_dim must be set before init_network")
     c, e, k = cfg.channels, cfg.embedding_dim, cfg.kernel
 
-    def neuron(with_fv):
-        return NeuronParams(
-            w_scd=np.full(c, cfg.decay_init, dtype=dtype),
-            w_vd=np.full(c, cfg.decay_init, dtype=dtype),
-            w_fv_pos=np.asarray(1.0, dtype=dtype) if with_fv else None,
-            w_fv_neg=np.asarray(1.0, dtype=dtype) if with_fv else None,
-        )
-
     net = [
         LayerParams(
-            kernels=glorot_uniform(rng, (c, e, k), e * k, c * k, dtype),
+            kernels=glorot_uniform(rng, (c, cin, k), cin * k, c * k, dtype),
             bias=np.zeros(c, dtype=dtype),
-            neuron=neuron(with_fv=False),
+            w_scd=np.full(c, cfg.decay_init, dtype=dtype),
+            w_vd=np.full(c, cfg.decay_init, dtype=dtype),
         )
+        for cin in [e] + [c] * cfg.n_spiking_conv
     ]
-    for _ in range(cfg.n_spiking_conv):
-        net.append(
-            LayerParams(
-                kernels=glorot_uniform(rng, (c, c, k), c * k, c * k, dtype),
-                bias=np.zeros(c, dtype=dtype),
-                neuron=neuron(with_fv=True),
-            )
-        )
+    for layer in net[1:]:  # the spiking convs weight their input spikes
+        layer.w_fv_pos = np.asarray(1.0, dtype=dtype)
+        layer.w_fv_neg = np.asarray(1.0, dtype=dtype)
     net.append(
         LayerParams(
             kernels=glorot_uniform(rng, (N_CLASSES, c), c, N_CLASSES, dtype),
             bias=np.zeros(N_CLASSES, dtype=dtype),
-            neuron=None,
         )
     )
     return net
@@ -197,8 +192,9 @@ def validate_spike_alphabet(spikes, mode):
         raise ValidationError(f"spike values outside the {mode} alphabet")
 
 
-def weighted_spikes(spk, neuron, mode, mask):
-    """Apply the postsynaptic weights to a spike map before convolution.
+def weighted_spikes(spk, layer, mode, mask):
+    """Apply the consuming layer's postsynaptic weights w_fv_pos/w_fv_neg
+    to a spike map before convolution.
 
     spk is (..., B, R, C); the (B, R) mask zeroes padded positions.
     Ternary mode scales the positive and negative parts separately; for hard
@@ -206,22 +202,23 @@ def weighted_spikes(spk, neuron, mode, mask):
     smoothly to soft spikes.
     """
     if mode == BINARY:
-        wspk = neuron.w_fv_pos * spk
+        wspk = layer.w_fv_pos * spk
     else:  # in place, so at most two new blocks are alive
         wspk = np.maximum(spk, 0.0)
-        wspk *= neuron.w_fv_pos
+        wspk *= layer.w_fv_pos
         neg = np.minimum(spk, 0.0)
-        neg *= neuron.w_fv_neg
+        neg *= layer.w_fv_neg
         wspk += neg
     wspk *= mask[:, :, None]
     return wspk
 
 
-def _lif_scan(drive, neuron, cfg, soft, keep_trace=True):
+def _lif_scan(drive, layer, cfg, soft, keep_trace=True):
     """Advance one layer's LIF state through t = 1..T, the only sequential part.
 
-    drive is (T, B, R, C). Returns a NeuronState whose spk is the (T, B, R, C)
-    spike block, each step's lif_step writing its spikes straight into row t,
+    drive is (T, B, R, C); lif_step reads the layer's decay weights.
+    Returns a NeuronState whose spk is the (T, B, R, C) spike block, each
+    step's lif_step writing its spikes straight into row t,
     and whose isc and v are tuples of the T (B, R, C) currents and pre-reset
     potentials, a fresh pair per step. Without keep_trace they are empty: the
     current and potential are then two buffers every step updates in place.
@@ -234,7 +231,7 @@ def _lif_scan(drive, neuron, cfg, soft, keep_trace=True):
             out = NeuronState(spk[t], np.empty_like(state.isc), np.empty_like(state.v))
         else:
             out = NeuronState(spk[t], state.isc, state.v)
-        _, state = lif_step(state, drive[t], neuron, cfg, soft, out=out)
+        _, state = lif_step(state, drive[t], layer, cfg, soft, out=out)
         if keep_trace:
             isc.append(state.isc)
             v.append(state.v)
@@ -249,11 +246,10 @@ def encode_step(embeddings, layer, cfg, soft=False, keep_trace=True):
     """
     drive = conv1d_same(embeddings, layer.kernels, layer.bias)
     drive = np.broadcast_to(drive, (cfg.time_steps,) + drive.shape)
-    return _lif_scan(drive, layer.neuron, cfg, soft, keep_trace)
+    return _lif_scan(drive, layer, cfg, soft, keep_trace)
 
 
-def spiking_conv_step(in_spikes, layer, cfg, mask, soft=False, checked=False,
-                      keep_trace=True):
+def spiking_conv_step(in_spikes, layer, cfg, mask, soft=False, keep_trace=True):
     """Run a spiking conv layer for all T timesteps.
 
     in_spikes is the previous layer's raw (T, B, R, C) spike block and mask
@@ -262,15 +258,12 @@ def spiking_conv_step(in_spikes, layer, cfg, mask, soft=False, checked=False,
     NeuronState of _lif_scan. A caller that hands over its only reference
     to in_spikes has the block freed as soon as it is weighted.
     """
-    if checked and not soft:
-        validate_spike_alphabet(in_spikes, cfg.spike_mode)
     t_steps, b, r, c = in_spikes.shape
-    wspk = weighted_spikes(in_spikes, layer.neuron, cfg.spike_mode, mask)
+    wspk = weighted_spikes(in_spikes, layer, cfg.spike_mode, mask)
     del in_spikes
     drive = conv1d_same(wspk.reshape(t_steps * b, r, c), layer.kernels, layer.bias)
     del wspk  # freed before the scan allocates this layer's states
-    return _lif_scan(drive.reshape(t_steps, b, r, -1), layer.neuron, cfg, soft,
-                     keep_trace)
+    return _lif_scan(drive.reshape(t_steps, b, r, -1), layer, cfg, soft, keep_trace)
 
 
 def output_logits(in_spikes, layer):
@@ -355,29 +348,28 @@ def forward(batch_embeddings, net, cfg: NetworkConfig, mask=None, soft=False,
     if (keep_trace or b < 2 or USABLE_CORES < 2
             or b * r * cfg.channels < SPLIT_MIN_ELEMENTS):
         trace = _run_stack(emb, mask, net, cfg, soft, checked, keep_trace)
-        return trace.prob_class, trace
+    else:
+        # imported here: a process that never splits does not pay its ~0.7 MB RSS
+        from concurrent.futures import ThreadPoolExecutor
 
-    # imported here: a process that never splits does not pay its ~0.7 MB RSS
-    from concurrent.futures import ThreadPoolExecutor
+        h, first_len, second_len = _split_by_work(_real_ends(mask))
 
-    h, first_len, second_len = _split_by_work(_real_ends(mask))
+        def run_part(rows, length):
+            return _run_stack(emb[rows, :length], mask[rows, :length], net, cfg, soft,
+                              checked, keep_trace=False)
 
-    def run_part(rows, length):
-        return _run_stack(emb[rows, :length], mask[rows, :length], net, cfg, soft, checked,
-                          keep_trace=False)
-
-    with ThreadPoolExecutor(1) as worker:
-        second = worker.submit(run_part, slice(h, None), second_len)
-        first = run_part(slice(None, h), first_len)
-        second = second.result()
-    # a position past its part's length is padding, where the serial forward
-    # decodes a zero input: the logits are the decoder's bias
-    probs_t = np.empty((cfg.time_steps, b, r, N_CLASSES), dtype=first.probs_t.dtype)
-    probs_t[...] = softmax3(net[-1].bias)
-    probs_t[:, :h, :first_len] = first.probs_t
-    probs_t[:, h:, :second_len] = second.probs_t
-    trace = StateTrace(embeddings=emb, mask=mask, soft=soft, probs_t=probs_t,
-                       prob_class=probs_t.sum(axis=0))
+        with ThreadPoolExecutor(1) as worker:
+            second = worker.submit(run_part, slice(h, None), second_len)
+            first = run_part(slice(None, h), first_len)
+            second = second.result()
+        # a position past its part's length is padding, where the serial forward
+        # decodes a zero input: the logits are the decoder's bias
+        probs_t = np.empty((cfg.time_steps, b, r, N_CLASSES), dtype=first.probs_t.dtype)
+        probs_t[...] = softmax3(net[-1].bias)
+        probs_t[:, :h, :first_len] = first.probs_t
+        probs_t[:, h:, :second_len] = second.probs_t
+        trace = StateTrace(embeddings=emb, mask=mask, soft=soft, probs_t=probs_t)
+    trace.prob_class = trace.probs_t.sum(axis=0)
     return trace.prob_class, trace
 
 
@@ -404,10 +396,13 @@ def _split_by_work(ends):
 
 
 def _run_stack(emb, mask, net, cfg, soft, checked, keep_trace):
-    """The serial forward of forward()'s checked, masked embeddings; returns its trace."""
+    """The serial forward of forward()'s masked embeddings; returns its trace,
+    probs_t set. checked checks each spiking layer's hard spikes as handed on."""
     trace = StateTrace(embeddings=emb, mask=mask, soft=soft)
 
     def hand_off(states):
+        if checked and not soft:
+            validate_spike_alphabet(states.spk, cfg.spike_mode)
         # a one-slot list: popping it leaves the next layer the only reference
         # outside the trace, so an untraced block is freed once weighted
         if keep_trace:
@@ -419,7 +414,6 @@ def _run_stack(emb, mask, net, cfg, soft, checked, keep_trace):
     slot = hand_off(encode_step(emb, net[0], cfg, soft=soft, keep_trace=keep_trace))
     for layer in net[1:-1]:
         slot = hand_off(spiking_conv_step(slot.pop(), layer, cfg, mask, soft=soft,
-                                          checked=checked, keep_trace=keep_trace))
+                                          keep_trace=keep_trace))
     trace.probs_t = softmax3(output_logits(slot.pop() * mask[:, :, None], net[-1]))
-    trace.prob_class = trace.probs_t.sum(axis=0)
     return trace

@@ -51,32 +51,14 @@ class NeuronState:
         )
 
 
-@dataclass
-class NeuronParams:
-    """Trained neuron arrays for one layer; the firing threshold is the config's.
-
-    w_scd/w_vd are per-channel decay weights (broadcast over batch and
-    sequence); w_fv_pos/w_fv_neg are the scalar postsynaptic weights applied
-    by the *caller* when forming the drive (binary mode ignores w_fv_neg).
-    Decay weights are unconstrained reals; the reset potential is fixed at zero.
-    """
-
-    w_scd: np.ndarray
-    w_vd: np.ndarray
-    w_fv_pos: np.ndarray | None = None
-    w_fv_neg: np.ndarray | None = None
-
-
 def heaviside(v, out):
     """Write 1 where v >= 0, else 0 (H(0) = 1), into out; returns out."""
     return np.greater_equal(v, 0, out=out)
 
 
-def ternary_threshold(v, v_thr, out=None):
-    """+1 where v >= v_thr, -1 where v <= -v_thr, else 0; written into out if given."""
-    v = np.asarray(v)
-    dtype = v.dtype if v.dtype.kind == "f" else np.float64
-    return np.subtract(v >= v_thr, v <= -v_thr, dtype=dtype, out=out)
+def ternary_threshold(v, v_thr, out):
+    """Write +1 where v >= v_thr, -1 where v <= -v_thr, else 0, into out; returns out."""
+    return np.subtract(v >= v_thr, v <= -v_thr, dtype=out.dtype, out=out)
 
 
 def surrogate_grad(v, alpha):
@@ -131,7 +113,8 @@ def spike_grad(v, cfg):
 def lif_step(prev, drive, params, cfg, soft=False, *, out):
     """One update/fire/reset cycle under cfg (a layers.NetworkConfig).
 
-    drive is the already-weighted postsynaptic drive, shaped like the state.
+    params is the layer's LayerParams; the step reads its decay weights w_scd
+    and w_vd. drive is the already-weighted postsynaptic drive, state-shaped.
     The step fires in cfg.spike_mode at cfg.v_thr (+/-cfg.v_thr in ternary
     mode); soft spikes use cfg.alpha and cfg.surrogate_centering.
     Returns (spikes, next_state); next_state stores the pre-reset membrane

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CheckpointError, ConfigError
-from .layers import NetworkConfig
-from .training import TrainConfig
+from .layers import NetworkConfig, init_network
+from .training import OptimizerState, TrainConfig, named_parameters
 
 MAGIC = b"SPIKEAT1"
 FORMAT_VERSION = 1
@@ -119,6 +119,8 @@ def load(path) -> Checkpoint:
     tensors = {}
     for entry in header["tensors"]:
         name, shape, offset, nbytes = _manifest_entry(entry, path)
+        if name in tensors:
+            raise CheckpointError(f"{path}: tensor {name} appears twice in the manifest")
         expected = int(np.prod(shape, dtype=np.int64)) * PAYLOAD_DTYPE.itemsize
         if nbytes != expected:
             raise CheckpointError(
@@ -141,12 +143,16 @@ def load(path) -> Checkpoint:
 
 
 def _stored_configs(header, path):
-    """The header's network and train configs, each checked as on the command line."""
+    """The header's complete network and train configs, checked as on the command line."""
     for key, kind in (("network", dict), ("train", dict), ("tensors", list)):
         if not isinstance(header.get(key), kind):
             raise CheckpointError(f"{path}: header field {key!r} missing or not a {kind.__name__}")
     if not isinstance(header.get("meta", {}), dict):
         raise CheckpointError(f"{path}: header field 'meta' is not a dict")
+    for key, cls in (("network", NetworkConfig), ("train", TrainConfig)):
+        for f in dataclasses.fields(cls):
+            if f.name not in header[key]:
+                raise CheckpointError(f"{path}: header section {key!r} lacks field {f.name!r}")
     try:
         return (NetworkConfig(**header["network"]).validate(),
                 TrainConfig(**header["train"]).validate())
@@ -170,8 +176,6 @@ def _manifest_entry(entry, path):
 
 def checkpoint_from_training(net, net_cfg, train_cfg, opt_state=None, meta=None):
     """Bundle parameters (and adam moments, when given) into a Checkpoint."""
-    from .training import named_parameters
-
     tensors = dict(named_parameters(net))
     meta = dict(meta or {})
     if opt_state is not None:
@@ -201,9 +205,6 @@ def restore_network(checkpoint: Checkpoint):
     of its Adam moments. The moments are all or nothing: a checkpoint holding
     any of them must hold both moments of every parameter, each shaped like it.
     """
-    from .layers import init_network
-    from .training import OptimizerState, named_parameters
-
     rng = np.random.default_rng(0)  # shapes only; values overwritten below
     net = init_network(checkpoint.net_cfg, rng, dtype=np.float32)
     params = named_parameters(net)

@@ -68,14 +68,10 @@ def named_parameters(net):
     """Flat ordered view of every trainable array, keyed '<layer>.<field>'."""
     params = {}
     for i, layer in enumerate(net):
-        params[f"{i}.kernels"] = layer.kernels
-        params[f"{i}.bias"] = layer.bias
-        if layer.neuron is not None:
-            params[f"{i}.w_scd"] = layer.neuron.w_scd
-            params[f"{i}.w_vd"] = layer.neuron.w_vd
-            if layer.neuron.w_fv_pos is not None:
-                params[f"{i}.w_fv_pos"] = layer.neuron.w_fv_pos
-                params[f"{i}.w_fv_neg"] = layer.neuron.w_fv_neg
+        prefix = f"{i}."
+        for name, p in layer.__dict__.items():  # LayerParams fields, in declaration order
+            if p is not None:
+                params[prefix + name] = p
     return params
 
 
@@ -128,7 +124,7 @@ def _prob_adjoint(prob, labels, mask):
     return g
 
 
-def _adjoint_scan(trace, li, d_spk, neuron, cfg):
+def _adjoint_scan(trace, li, d_spk, layer, cfg):
     """Run layer li's LIF adjoint backwards through t.
 
     d_spk is the (T, B, R, C) adjoint arriving at the layer's raw spikes.
@@ -137,7 +133,7 @@ def _adjoint_scan(trace, li, d_spk, neuron, cfg):
     over t as the scan goes.
     """
     spk, isc, v = trace.spk[li], trace.isc[li], trace.v[li]
-    w_scd, w_vd = neuron.w_scd, neuron.w_vd
+    w_scd, w_vd = layer.w_scd, layer.w_vd
     g_scd, g_vd = np.zeros_like(w_scd), np.zeros_like(w_vd)
     d_v_next = None
     keep = None  # 1 - |spk_t|, made at step t+1 for its w_vd gradient
@@ -205,12 +201,11 @@ def backward(trace, labels, mask, net, cfg: NetworkConfig):
     # spiking conv layers, deepest first; only the current layer's adjoint is alive
     for li in range(len(spiking) - 1, 0, -1):
         layer = spiking[li]
-        neuron = layer.neuron
         d_drive, grads[f"{li}.w_scd"], grads[f"{li}.w_vd"] = _adjoint_scan(
-            trace, li, d_spk, neuron, cfg)
+            trace, li, d_spk, layer, cfg)
         grads[f"{li}.bias"] = d_drive.sum(axis=(0, 1, 2))
         spk_in = trace.spk[li - 1]
-        wspk = weighted_spikes(spk_in, neuron, mode, trace.mask)
+        wspk = weighted_spikes(spk_in, layer, mode, trace.mask)
         grads[f"{li}.kernels"] = conv1d_same_kernel_grad(
             wspk.reshape(rows, r, -1), d_drive.reshape(rows, r, -1), layer.kernels.shape[2]
         )
@@ -223,18 +218,18 @@ def backward(trace, labels, mask, net, cfg: NetworkConfig):
         # wspk = w_fv_pos * spk (binary), w_fv_pos * spk+ + w_fv_neg * spk- (ternary)
         if mode == BINARY:
             grads[f"{li}.w_fv_pos"] = np.asarray((spk_in * d_wspk).sum())
-            grads[f"{li}.w_fv_neg"] = np.zeros_like(neuron.w_fv_neg)
-            d_wspk *= neuron.w_fv_pos
+            grads[f"{li}.w_fv_neg"] = np.zeros_like(layer.w_fv_neg)
+            d_wspk *= layer.w_fv_pos
         else:
             grads[f"{li}.w_fv_pos"] = np.asarray((np.maximum(spk_in, 0.0) * d_wspk).sum())
             grads[f"{li}.w_fv_neg"] = np.asarray((np.minimum(spk_in, 0.0) * d_wspk).sum())
-            d_wspk *= neuron.w_fv_pos * (spk_in > 0) + neuron.w_fv_neg * (spk_in < 0)
+            d_wspk *= layer.w_fv_pos * (spk_in > 0) + layer.w_fv_neg * (spk_in < 0)
         d_spk = d_wspk
 
     # encoder: its drive is the same at every t, so its kernels see sum_t dL/ddrive_t
     enc = spiking[0]
     d_drive, grads["0.w_scd"], grads["0.w_vd"] = _adjoint_scan(
-        trace, 0, d_spk, enc.neuron, cfg)
+        trace, 0, d_spk, enc, cfg)
     grads["0.bias"] = d_drive.sum(axis=(0, 1, 2))
     grads["0.kernels"] = conv1d_same_kernel_grad(
         trace.embeddings, d_drive.sum(axis=0), enc.kernels.shape[2]
@@ -284,8 +279,7 @@ class OptimizerState:
         state._params = _views(flat, shapes)
         for name, view in state._params.items():
             i, attr = name.split(".")
-            layer = net[int(i)]
-            setattr(layer if attr in ("kernels", "bias") else layer.neuron, attr, view)
+            setattr(net[int(i)], attr, view)
         return state
 
     def __deepcopy__(self, memo):
@@ -368,7 +362,7 @@ def train(train_examples, val_examples, table, net_cfg: NetworkConfig,
     best-validation-F1 parameters, the optimizer state at each, and one log
     row per epoch.
     """
-    from .data import batchify
+    from .data import batchify  # per call: perfbench's tracer wraps data.batchify
 
     cfg.validate()
     net_cfg.validate()
@@ -422,7 +416,7 @@ def predict(examples, table, net, net_cfg, batch_size=8):
     keeps no trace. Inside that call a batch at or above layers'
     SPLIT_MIN_ELEMENTS runs part of its rows on a worker thread.
     """
-    from .data import batchify
+    from .data import batchify  # per call, as in train
     from .metrics import decode_bio
 
     for batch in batchify(examples, table, batch_size):
@@ -436,7 +430,7 @@ def evaluate(examples, table, net, net_cfg, batch_size=8):
 
     Spans are keyed by each sentence's position in `examples`.
     """
-    from .metrics import extract_spans, span_f1
+    from .metrics import extract_spans, span_f1  # per call, as in train
 
     gold_spans = []
     pred_spans = []

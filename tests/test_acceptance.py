@@ -16,9 +16,9 @@ from oracles import ScalarLIF
 from spiketag.cli import main
 from spiketag.data import load_corpus, split_validation
 from spiketag.energy import dnn_energy
-from spiketag.layers import NetworkConfig, forward, init_network
+from spiketag.layers import LayerParams, NetworkConfig, forward, init_network
 from spiketag.metrics import extract_spans, span_f1
-from spiketag.neuron import NeuronParams, NeuronState, lif_step
+from spiketag.neuron import NeuronState, lif_step
 from spiketag.persistence import checkpoint_from_training, load, restore_network, save
 from spiketag.toygen import generate_corpus, generate_embeddings
 from spiketag.training import (
@@ -69,7 +69,8 @@ def test_c2_lif_oracle_equivalence():
             w_vd = float(rng.uniform(-0.8, 1.1))
             v_thr = float(rng.uniform(0.02, 0.6))
             drives = rng.normal(scale=0.6, size=t_steps)
-            params = NeuronParams(w_scd=np.asarray([w_scd]), w_vd=np.asarray([w_vd]))
+            params = LayerParams(kernels=None, bias=None, w_scd=np.asarray([w_scd]),
+                                 w_vd=np.asarray([w_vd]))
             oracle = ScalarLIF(w_scd, w_vd, v_thr, mode)
             state = NeuronState.zeros((1,), dtype=np.float64)
             cfg = NetworkConfig(spike_mode=mode, v_thr=v_thr)
@@ -153,6 +154,7 @@ def test_c5_toy_corpus_learning(acceptance_corpus):
            f"({elapsed:.0f}s)")
 
 
+@pytest.mark.slow
 def test_c6_ablation_direction(acceptance_corpus):
     # Non-inferiority at margin 0.01: ternary vs binary spikes at each T, and
     # T=6 vs T=4 in each mode. Each run's final parameters are scored on a

@@ -243,6 +243,18 @@ def test_predict_batches_by_length_and_answers_in_input_order(capsys, tmp_path,
     assert blocks == alone
 
 
+def test_a_predict_input_line_holding_a_tab_is_a_data_error(capsys, tmp_path,
+                                                            trained_ckpt):
+    # a labeled-corpus line would print as three columns, token, label, prediction
+    raw = tmp_path / "labeled.txt"
+    raw.write_text("we\tO\nloved\tO\n\nthe\tO\nbattery\tB\n")
+    code, out, err = run(capsys, "predict", "--config", small_config(tmp_path),
+                         "--ckpt", trained_ckpt, str(raw))
+    assert code == 2
+    assert f"{raw}:1:" in err and "tab" in err
+    assert "\t" not in out
+
+
 def test_checkpoint_optimizer_state_is_the_best_epochs(capsys, tmp_path):
     # at learning rate 0 validation F1 is flat, so epoch 0 stays the best
     cfg_path = small_config(tmp_path, epochs=3)

@@ -5,7 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import ScalarLIF, conv1d_naive, matvec_naive, softmax_closed_form
+from oracles import (
+    ScalarLIF,
+    conv1d_naive,
+    matvec_naive,
+    softmax_closed_form,
+    ternary_threshold,
+)
 from spiketag import layers
 from spiketag.errors import ConfigError, ValidationError
 from spiketag.layers import (
@@ -21,7 +27,6 @@ from spiketag.layers import (
 )
 from spiketag.data import batchify
 from spiketag.metrics import decode_bio
-from spiketag.neuron import NeuronParams, ternary_threshold
 from spiketag.tensorops import conv1d_same
 
 
@@ -29,7 +34,7 @@ def make_encoding_layer(c, e, k, rng, decay=0.1, bias=None):
     return LayerParams(
         kernels=rng.normal(size=(c, e, k)),
         bias=np.zeros(c) if bias is None else bias,
-        neuron=NeuronParams(w_scd=np.full(c, decay), w_vd=np.full(c, decay)),
+        w_scd=np.full(c, decay), w_vd=np.full(c, decay),
     )
 
 
@@ -68,7 +73,7 @@ def test_encoding_reduces_to_scalar_trace():
     layer = LayerParams(
         kernels=np.full((1, 1, 1), kernel),
         bias=np.asarray([0.05]),
-        neuron=NeuronParams(w_scd=np.asarray([0.3]), w_vd=np.asarray([0.4])),
+        w_scd=np.asarray([0.3]), w_vd=np.asarray([0.4]),
     )
     oracle = ScalarLIF(0.3, 0.4, 0.1, "binary")
     emb = np.full((1, 1, 1), emb_val)
@@ -97,10 +102,8 @@ def test_spiking_conv_zero_in_zero_out():
     layer = LayerParams(
         kernels=rng.normal(size=(2, 2, 3)),
         bias=np.zeros(2),
-        neuron=NeuronParams(
-            w_scd=np.full(2, 0.1), w_vd=np.full(2, 0.1),
-            w_fv_pos=np.asarray(1.0), w_fv_neg=np.asarray(1.0),
-        ),
+        w_scd=np.full(2, 0.1), w_vd=np.full(2, 0.1),
+        w_fv_pos=np.asarray(1.0), w_fv_neg=np.asarray(1.0),
     )
     states = spiking_conv_step(np.zeros((cfg.time_steps, 1, 4, 2)), layer, cfg, np.ones((1, 4)))
     assert states.spk.shape == (3, 1, 4, 2)
@@ -121,49 +124,55 @@ def test_ternary_split_reconstructs_input():
 def test_equal_weight_ternary_collapses_to_binary_formula():
     rng = np.random.default_rng(12)
     spikes = rng.integers(-1, 2, size=(2, 6, 3)).astype(np.float64)
-    neuron = NeuronParams(
-        w_scd=np.full(3, 0.1), w_vd=np.full(3, 0.1),
+    layer = LayerParams(
+        kernels=None, bias=None, w_scd=np.full(3, 0.1), w_vd=np.full(3, 0.1),
         w_fv_pos=np.asarray(0.37), w_fv_neg=np.asarray(0.37),
     )
     mask = np.ones((2, 6))
-    ternary = weighted_spikes(spikes, neuron, "ternary", mask)
-    binary_formula = weighted_spikes(spikes, neuron, "binary", mask)
+    ternary = weighted_spikes(spikes, layer, "ternary", mask)
+    binary_formula = weighted_spikes(spikes, layer, "binary", mask)
     assert np.array_equal(ternary, binary_formula)
 
 
 def test_binary_mode_ignores_negative_postsynaptic_weight():
     rng = np.random.default_rng(6)
     spikes = rng.integers(0, 2, size=(1, 5, 2)).astype(np.float64)
-    neuron_a = NeuronParams(
-        w_scd=np.full(2, 0.1), w_vd=np.full(2, 0.1),
+    layer_a = LayerParams(
+        kernels=None, bias=None, w_scd=np.full(2, 0.1), w_vd=np.full(2, 0.1),
         w_fv_pos=np.asarray(0.8), w_fv_neg=np.asarray(0.2),
     )
-    neuron_b = NeuronParams(
-        w_scd=np.full(2, 0.1), w_vd=np.full(2, 0.1),
+    layer_b = LayerParams(
+        kernels=None, bias=None, w_scd=np.full(2, 0.1), w_vd=np.full(2, 0.1),
         w_fv_pos=np.asarray(0.8), w_fv_neg=np.asarray(-55.0),
     )
     mask = np.ones((1, 5))
     assert np.array_equal(
-        weighted_spikes(spikes, neuron_a, "binary", mask),
-        weighted_spikes(spikes, neuron_b, "binary", mask),
+        weighted_spikes(spikes, layer_a, "binary", mask),
+        weighted_spikes(spikes, layer_b, "binary", mask),
     )
 
 
-def test_spike_alphabet_validation():
+def test_spike_alphabet_validation(monkeypatch):
+    # a checked forward checks every spiking layer's hard spikes, the last
+    # layer's included; soft spikes and an unchecked forward are not checked
     cfg = NetworkConfig(embedding_dim=2, channels=2, kernel=3, n_spiking_conv=1,
                         spike_mode="binary")
-    rng = np.random.default_rng(0)
-    layer = LayerParams(
-        kernels=rng.normal(size=(2, 2, 3)),
-        bias=np.zeros(2),
-        neuron=NeuronParams(
-            w_scd=np.full(2, 0.1), w_vd=np.full(2, 0.1),
-            w_fv_pos=np.asarray(1.0), w_fv_neg=np.asarray(1.0),
-        ),
-    )
-    bad = np.full((cfg.time_steps, 1, 3, 2), 0.5)
+    net = init_network(cfg, np.random.default_rng(0))
+    emb = np.random.default_rng(1).normal(size=(1, 3, 2))
+
+    real_lif_step = layers.lif_step
+
+    def last_layer_fires_half(prev, drive, params, cfg, soft=False, *, out):
+        spk, state = real_lif_step(prev, drive, params, cfg, soft, out=out)
+        if params is net[-2]:
+            spk[...] = 0.5
+        return spk, state
+
+    monkeypatch.setattr(layers, "lif_step", last_layer_fires_half)
     with pytest.raises(ValidationError):
-        spiking_conv_step(bad, layer, cfg, np.ones((1, 3)), checked=True)
+        forward(emb, net, cfg, checked=True)
+    forward(emb, net, cfg, checked=False)
+    forward(emb, net, cfg, soft=True, checked=True)
 
 
 def test_output_logits_cases():
@@ -524,17 +533,17 @@ def test_ternary_weighting_holds_at_most_two_new_blocks():
     rng = np.random.default_rng(2)
     spk = rng.integers(-1, 2, size=(6, 16, 32, 128)).astype(np.float32)
     mask = (rng.uniform(size=(16, 32)) < 0.8).astype(np.float32)
-    neuron = NeuronParams(w_scd=None, w_vd=None, w_fv_pos=np.asarray(0.7, np.float32),
-                          w_fv_neg=np.asarray(1.3, np.float32))
+    layer = LayerParams(kernels=None, bias=None, w_fv_pos=np.asarray(0.7, np.float32),
+                        w_fv_neg=np.asarray(1.3, np.float32))
     tracemalloc.start()
     try:
-        wspk = weighted_spikes(spk, neuron, "ternary", mask)
+        wspk = weighted_spikes(spk, layer, "ternary", mask)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2.1 * spk.nbytes
-    expected = (neuron.w_fv_pos * np.maximum(spk, 0.0)
-                + neuron.w_fv_neg * np.minimum(spk, 0.0))
+    expected = (layer.w_fv_pos * np.maximum(spk, 0.0)
+                + layer.w_fv_neg * np.minimum(spk, 0.0))
     expected *= mask[:, :, None]
     assert wspk.tobytes() == expected.tobytes()
 
@@ -546,14 +555,14 @@ def test_init_network_structure_and_defaults():
     assert len(net) == 5
     assert net[0].kernels.shape == (4, 6, 5)
     assert all(layer.kernels.shape == (4, 4, 5) for layer in net[1:-1])
-    assert all(layer.neuron.w_fv_pos is not None for layer in net[1:-1])
+    assert all(layer.w_fv_pos is not None for layer in net[1:-1])
     assert net[-1].kernels.shape == (3, 4)
-    assert net[-1].neuron is None
-    assert np.all(net[1].neuron.w_scd == 0.1)
-    assert np.all(net[1].neuron.w_vd == 0.1)
-    assert float(net[1].neuron.w_fv_pos) == 1.0
-    assert float(net[1].neuron.w_fv_neg) == 1.0
-    assert net[0].neuron.w_fv_pos is None
+    assert net[-1].w_scd is None
+    assert np.all(net[1].w_scd == 0.1)
+    assert np.all(net[1].w_vd == 0.1)
+    assert float(net[1].w_fv_pos) == 1.0
+    assert float(net[1].w_fv_neg) == 1.0
+    assert net[0].w_fv_pos is None
 
 
 def test_forward_fires_at_the_configs_threshold():
@@ -590,7 +599,7 @@ def reference_forward(emb, net, cfg, mask):
     spiking = net[:-1]
     out_layer = net[-1]
     lifs = [
-        [[[ScalarLIF(float(layer.neuron.w_scd[c]), float(layer.neuron.w_vd[c]),
+        [[[ScalarLIF(float(layer.w_scd[c]), float(layer.w_vd[c]),
                      cfg.v_thr, cfg.spike_mode)
            for c in range(layer.kernels.shape[0])] for _ in range(r)] for _ in range(b)]
         for layer in spiking
@@ -602,7 +611,7 @@ def reference_forward(emb, net, cfg, mask):
         x = emb
         for li, layer in enumerate(spiking):
             if li > 0:  # a spiking conv reads the weighted spikes of layer li - 1
-                n = layer.neuron
+                n = layer
                 w_neg = n.w_fv_pos if cfg.spike_mode == "binary" else n.w_fv_neg
                 x = np.where(x > 0, float(n.w_fv_pos) * x, float(w_neg) * x)
             drive = conv1d_naive(x, layer.kernels, layer.bias, (cfg.kernel - 1) // 2)
@@ -628,11 +637,11 @@ def test_forward_matches_timestep_major_oracle():
         net = full_net(cfg, seed=5)
         for layer in net[:-1]:
             layer.bias[...] = rng.normal(scale=0.2, size=layer.bias.shape)
-            layer.neuron.w_scd[...] = rng.uniform(-0.5, 0.9, size=cfg.channels)
-            layer.neuron.w_vd[...] = rng.uniform(-0.5, 0.9, size=cfg.channels)
+            layer.w_scd[...] = rng.uniform(-0.5, 0.9, size=cfg.channels)
+            layer.w_vd[...] = rng.uniform(-0.5, 0.9, size=cfg.channels)
         for layer in net[1:-1]:
-            layer.neuron.w_fv_pos[...] = 0.8
-            layer.neuron.w_fv_neg[...] = 1.3
+            layer.w_fv_pos[...] = 0.8
+            layer.w_fv_neg[...] = 1.3
         emb = rng.normal(size=(2, 5, 3))
         mask = np.ones((2, 5))
         mask[1, 3:] = 0.0

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import ScalarLIF
-from spiketag.layers import NetworkConfig
+from spiketag.layers import LayerParams, NetworkConfig
 from spiketag.neuron import (
-    NeuronParams,
     NeuronState,
     atan_sigmoid,
     heaviside,
@@ -21,7 +20,8 @@ from spiketag.neuron import (
 
 
 def scalar_params(w_scd=0.1, w_vd=0.1, n=1, dtype=np.float64):
-    return NeuronParams(
+    return LayerParams(
+        kernels=None, bias=None,
         w_scd=np.full(n, w_scd, dtype=dtype),
         w_vd=np.full(n, w_vd, dtype=dtype),
     )
@@ -44,11 +44,9 @@ def test_heaviside_fires_at_zero():
 
 
 def test_ternary_threshold_cases():
-    assert ternary_threshold(0.15, 0.1) == 1.0
-    assert ternary_threshold(-0.15, 0.1) == -1.0
-    assert ternary_threshold(0.05, 0.1) == 0.0
-    assert ternary_threshold(0.1, 0.1) == 1.0
-    assert ternary_threshold(-0.1, 0.1) == -1.0
+    out = np.empty(5)
+    assert ternary_threshold(np.asarray([0.15, -0.15, 0.05, 0.1, -0.1]), 0.1, out) is out
+    assert out.tolist() == [1.0, -1.0, 0.0, 1.0, -1.0]
 
 
 def test_quiescence_with_zero_drive():
@@ -218,7 +216,8 @@ def lif_runs(draw):
 @given(lif_runs())
 def test_lif_step_matches_scalar_oracle(run):
     shape, w_scd, w_vd, v_thr, drives, mode = run
-    params = NeuronParams(w_scd=np.asarray(w_scd), w_vd=np.asarray(w_vd))
+    params = LayerParams(kernels=None, bias=None, w_scd=np.asarray(w_scd),
+                         w_vd=np.asarray(w_vd))
     cells = list(np.ndindex(shape))
     neurons = [ScalarLIF(w_scd[c[-1]], w_vd[c[-1]], v_thr, mode) for c in cells]
     state = NeuronState.zeros(shape, dtype=np.float64)

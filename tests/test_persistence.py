@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import os
@@ -184,6 +185,26 @@ def test_stored_config_outside_the_trainable_range_rejected(tmp_path, capsys, se
                                                             value):
     path = saved_with_header_edit(tmp_path, lambda h: h[section].update({key: value}))
     assert_data_error(path, key, capsys)
+
+
+@pytest.mark.parametrize("section, key", [
+    *(("network", f.name) for f in dataclasses.fields(NetworkConfig)),
+    *(("train", f.name) for f in dataclasses.fields(TrainConfig)),
+])
+def test_stored_config_missing_a_field_rejected(tmp_path, capsys, section, key):
+    # a missing field would otherwise load as the dataclass default
+    path = saved_with_header_edit(tmp_path, lambda h: h[section].pop(key))
+    assert_data_error(path, f"{section}.*{key}", capsys)
+
+
+def test_tensor_named_twice_in_the_manifest_rejected(tmp_path, capsys):
+    # the later entry would otherwise replace the earlier one unnoticed
+    def duplicate_bias(header):
+        kernels = next(e for e in header["tensors"] if e["name"] == "0.kernels")
+        header["tensors"].append(dict(kernels, name="0.bias"))
+
+    path = saved_with_header_edit(tmp_path, duplicate_bias)
+    assert_data_error(path, "0.bias", capsys)
 
 
 def test_checkpoint_of_a_run_with_no_epochs_rejected(tmp_path, capsys):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import oracles
 from spiketag import neuron, persistence, tensorops
-from spiketag.layers import NetworkConfig, init_network
-from spiketag.neuron import BINARY, CENTERINGS, TERNARY, NeuronParams, NeuronState
+from spiketag.layers import LayerParams, NetworkConfig, init_network
+from spiketag.neuron import BINARY, CENTERINGS, TERNARY, NeuronState
 from spiketag.training import OptimizerState, TrainConfig, named_parameters, optimizer_step
 
 DTYPES = (np.float32, np.float64)
@@ -79,10 +79,12 @@ def test_ternary_threshold_matches_the_reference():
     values = [0.0, -0.0, on, -on, np.nextafter(on, 0.0), 0.5, -0.5, np.inf, -np.inf, np.nan]
     for dtype in DTYPES:
         v = np.asarray(values, dtype=dtype)
-        assert_same(neuron.ternary_threshold(v, v_thr), oracles.ternary_threshold(v, v_thr))
+        assert_same(neuron.ternary_threshold(v, v_thr, np.empty_like(v)),
+                    oracles.ternary_threshold(v, v_thr))
     ints = np.asarray([-2, 0, 1])
-    assert_same(neuron.ternary_threshold(ints, 1), oracles.ternary_threshold(ints, 1))
-    assert neuron.ternary_threshold(0.1, 0.1) == oracles.ternary_threshold(0.1, 0.1)
+    assert_same(neuron.ternary_threshold(ints, 1, np.empty(3)), oracles.ternary_threshold(ints, 1))
+    assert (neuron.ternary_threshold(0.1, 0.1, np.empty(()))
+            == oracles.ternary_threshold(0.1, 0.1))
 
 
 # (params, state, drive) dtypes: the network's arrays share one dtype
@@ -100,7 +102,8 @@ def test_lif_step_matches_the_reference(mode, soft, centering, param_dt, state_d
                                         drive_dt):
     rng = np.random.default_rng(3)
     shape, v_thr = (3, 5, 4), 0.1
-    params = NeuronParams(
+    params = LayerParams(
+        kernels=None, bias=None,
         w_scd=rng.uniform(-0.5, 1.0, size=4).astype(param_dt),
         w_vd=rng.uniform(-0.5, 1.0, size=4).astype(param_dt),
     )
@@ -121,7 +124,7 @@ def test_lif_step_matches_the_reference(mode, soft, centering, param_dt, state_d
 
 @pytest.mark.parametrize("mode", [BINARY, TERNARY])
 def test_lif_step_matches_the_reference_on_a_scalar_state(mode):
-    params = NeuronParams(w_scd=np.asarray(0.5), w_vd=np.asarray(0.8))
+    params = LayerParams(kernels=None, bias=None, w_scd=np.asarray(0.5), w_vd=np.asarray(0.8))
     cfg = NetworkConfig(spike_mode=mode)
     got, want = NeuronState.zeros((), dtype=np.float64), NeuronState.zeros((), dtype=np.float64)
     for drive in (0.3, 0.0, -0.25, -0.1, 0.0):

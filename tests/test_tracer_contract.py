@@ -19,7 +19,7 @@ import numpy as np
 
 import pytest
 
-from spiketag import layers, training
+from spiketag import data, layers, metrics, training
 from spiketag.data import batchify
 from spiketag.layers import NetworkConfig, forward, init_network
 
@@ -204,3 +204,26 @@ def test_inference_runs_one_forward_per_batch_on_the_calling_thread(
     (_, tokens, batch_s), = tracer.infer_passes(rec.spans)
     assert len(batch_s) == len(batches)
     assert tokens == sum(len(ex.tokens) for ex in examples)
+
+
+def test_train_and_evaluate_reach_batchify_and_the_metrics_through_their_modules(
+        monkeypatch, toy_corpus, toy_table):
+    # the tracer's data.batchify_ms, data.pad_ratio and metrics.* figures come
+    # from wrappers set on these module attributes; training imports them per
+    # call, and an import moved to module top would silently bypass them
+    cfg = NetworkConfig(time_steps=2, channels=4, kernel=3, n_spiking_conv=1,
+                        embedding_dim=toy_table.dim)
+    examples = toy_corpus[:8]
+    net = init_network(cfg, np.random.default_rng(0), dtype=np.float32)
+    runs = {
+        "train": (lambda: training.train(examples, examples, toy_table, cfg,
+                                         training.TrainConfig(epochs=1)), 2),
+        "evaluate": (lambda: training.evaluate(examples, toy_table, net, cfg), 1),
+    }
+    for name, (run, batchify_calls) in runs.items():
+        with monkeypatch.context() as patch:
+            seen = {attr: spy_on(patch, module, attr, 0) for module, attr in
+                    ((data, "batchify"), (metrics, "decode_bio"), (metrics, "span_f1"))}
+            run()
+        assert len(seen["batchify"]) == batchify_calls, name
+        assert seen["decode_bio"] and len(seen["span_f1"]) == 1, name

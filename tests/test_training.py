@@ -128,12 +128,12 @@ def test_single_neuron_two_step_hand_adjoint():
     net[0].bias[...] = b_enc
     net[1].kernels[...] = w_hid
     net[1].bias[...] = 0.0
-    net[1].neuron.w_fv_pos[...] = w_fv
+    net[1].w_fv_pos[...] = w_fv
     net[2].kernels[...] = w_out
     net[2].bias[...] = 0.0
     for layer in net[:2]:
-        layer.neuron.w_scd[...] = 0.3
-        layer.neuron.w_vd[...] = 0.4
+        layer.w_scd[...] = 0.3
+        layer.w_vd[...] = 0.4
 
     emb = np.asarray([[[0.5]]])
     labels = np.asarray([[1]])
