@@ -7,6 +7,7 @@ problem (running out of memory included), 2 data problem, 3 numeric failure.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -32,7 +33,7 @@ from .layers import forward
 from .metrics import format_report
 from .neuron import CENTERINGS, SPIKE_MODES
 from .persistence import checkpoint_from_training, load, restore_network, save
-from .runconfig import KEYS, RunConfig, apply_overrides, load_config_file
+from .runconfig import KEYS, build, load_config_file, parse
 from .training import evaluate, grad_check, predict, tiny_gradcheck_config, train
 
 EXIT_OK = 0
@@ -85,10 +86,13 @@ def build_parser():
 
 
 def effective_config(args):
-    cfg = load_config_file(args.config) if args.config else RunConfig()
-    apply_overrides(cfg, {k: v for k, v in vars(args).items() if k in KEYS})
-    print(cfg.echo())
-    return cfg.validate()
+    values = {key: f.default for key, (_, f) in KEYS.items()}
+    if args.config:
+        values.update(load_config_file(args.config))
+    values.update((key, parse(key, str(flag))) for key, flag in vars(args).items()
+                  if key in KEYS and flag is not None)
+    print("\n".join(f"{key}={values[key]}" for key in sorted(values)))
+    return build(values)
 
 
 def require_path(path, what):
@@ -115,7 +119,7 @@ def cmd_train(args):
         raise ConfigError(
             f"configured embedding_dim {net_cfg.embedding_dim} != table dim {table.dim}"
         )
-    net_cfg.embedding_dim = table.dim
+    net_cfg = dataclasses.replace(net_cfg, embedding_dim=table.dim)
     train_set, val_set = split_validation(corpus, cfg.val_size, train_cfg.seed)
     out_dir = cfg.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -265,7 +269,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ParseError, CheckpointError, FileNotFoundError, OSError) as exc:
+    except (ParseError, CheckpointError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

@@ -89,17 +89,16 @@ _TYPES = {int: numbers.Integral, float: numbers.Real, str: str}
 
 
 def check_domains(cfg):
-    """Return `cfg`, or raise a ConfigError naming its first field outside its
-    domain; fields go in declaration order, nested configs walked in place."""
+    """Every config's __post_init__: raise a ConfigError naming the first field,
+    in declaration order, outside its domain."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if is_dataclass(f.type):
-            check_domains(value)
-        elif (isinstance(value, bool)  # an int subclass, which no config field takes
-              or not isinstance(value, _TYPES[f.type])
-              or not f.metadata["holds"](_as_float(value) if f.type is float else value)):
+        if is_dataclass(f.type):  # a nested config was checked when it was made
+            continue
+        if (isinstance(value, bool)  # an int subclass, which no config field takes
+                or not isinstance(value, _TYPES[f.type])
+                or not f.metadata["holds"](_as_float(value) if f.type is float else value)):
             raise ConfigError(f"{f.name} must be {f.metadata['domain']}, got {value!r}")
-    return cfg
 
 
 def _as_float(x):
@@ -110,8 +109,10 @@ def _as_float(x):
         return math.nan
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkConfig:
+    """An immutable value, checked when made: change one with dataclasses.replace."""
+
     time_steps: int = at_least(6, 1)
     spike_mode: str = one_of(TERNARY, SPIKE_MODES)
     channels: int = at_least(128, 1)
@@ -123,8 +124,7 @@ class NetworkConfig:
     embedding_dim: int = at_least(0, 0)  # 0 = take from the embedding table
     surrogate_centering: str = one_of(CENTER_ZERO, CENTERINGS)
 
-    def validate(self):
-        return check_domains(self)
+    __post_init__ = check_domains
 
 
 @dataclass
@@ -160,7 +160,6 @@ def init_network(cfg: NetworkConfig, rng, dtype=np.float32):
     Kernels and decoder weights are fan-balanced uniform, biases zero,
     decay weights at cfg.decay_init, postsynaptic spike weights at 1.
     """
-    cfg.validate()
     if cfg.embedding_dim < 1:
         raise ConfigError("embedding_dim must be set before init_network")
     c, e, k = cfg.channels, cfg.embedding_dim, cfg.kernel

@@ -16,6 +16,7 @@ stored as ordinary tensors so a resumed run is bit-deterministic.
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import secrets
 from dataclasses import dataclass, field
@@ -89,7 +90,7 @@ def save(checkpoint: Checkpoint, path):
 
 
 def load(path) -> Checkpoint:
-    """Read and validate a container written by save()."""
+    """Read and check a container written by save(); its tensors tile the payload."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -117,22 +118,24 @@ def load(path) -> Checkpoint:
     net_cfg, train_cfg = _stored_configs(header, path)
     payload = blob[header_start + header_len :]
     tensors = {}
+    end, name = 0, None  # save writes the tensors back to back, in manifest order
     for entry in header["tensors"]:
         name, shape, offset, nbytes = _manifest_entry(entry, path)
         if name in tensors:
             raise CheckpointError(f"{path}: tensor {name} appears twice in the manifest")
-        expected = int(np.prod(shape, dtype=np.int64)) * PAYLOAD_DTYPE.itemsize
-        if nbytes != expected:
-            raise CheckpointError(
-                f"{path}: tensor {name} declares shape {shape} but {nbytes} bytes"
-            )
-        if offset + nbytes > len(payload):
+        if nbytes != math.prod(shape) * PAYLOAD_DTYPE.itemsize:  # a Python int: no wrap
+            raise CheckpointError(f"{path}: tensor {name} declares shape {shape} "
+                                  f"but {nbytes} bytes")
+        if offset != end:
+            raise CheckpointError(f"{path}: tensor {name} starts at payload byte {offset}, "
+                                  f"not {end}: the manifest's tensors must tile the payload")
+        end += nbytes
+        if end > len(payload):
             raise CheckpointError(f"{path}: truncated inside the payload at {name}")
-        tensors[name] = (
-            np.frombuffer(payload[offset : offset + nbytes], dtype=PAYLOAD_DTYPE)
-            .reshape(shape)
-            .copy()
-        )
+        tensors[name] = np.frombuffer(payload[offset:end], PAYLOAD_DTYPE).reshape(shape).copy()
+    if end != len(payload):
+        raise CheckpointError(f"{path}: {len(payload) - end} payload bytes follow the end "
+                              f"of the last tensor, {name}")
     return Checkpoint(
         net_cfg=net_cfg,
         train_cfg=train_cfg,
@@ -154,8 +157,7 @@ def _stored_configs(header, path):
             if f.name not in header[key]:
                 raise CheckpointError(f"{path}: header section {key!r} lacks field {f.name!r}")
     try:
-        return (NetworkConfig(**header["network"]).validate(),
-                TrainConfig(**header["train"]).validate())
+        return NetworkConfig(**header["network"]), TrainConfig(**header["train"])
     except (TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: invalid stored configuration: {exc}") from exc
 

@@ -3,13 +3,15 @@
 A run is a NetworkConfig, a TrainConfig and six run keys of its own. Every
 field of the two is a config key under its own name, except
 TrainConfig.learning_rate, whose key is `lr` (checkpoint headers keep the
-field name). Unknown keys are rejected. The effective configuration is echoed
-at startup, one sorted key=value line each, so every run is auditable; then
-validate checks each key against the domain its field declares (in_domain).
+field name). Unknown keys are rejected. The command line gathers every key's
+value (default, file, flag) into one dict and echoes it at startup, one sorted
+key=value line each, so every run is auditable; build then makes the frozen
+RunConfig, whose making checks each key against the domain its field declares
+(in_domain).
 """
 
 from contextlib import suppress
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .data import CORPUS_MODES
 from .errors import ConfigError
@@ -17,7 +19,7 @@ from .layers import NetworkConfig, at_least, check_domains, in_domain, one_of
 from .training import TrainConfig
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     # paths
     data: str = in_domain("", "a path")
@@ -30,11 +32,7 @@ class RunConfig:
     network: NetworkConfig = field(default_factory=NetworkConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
 
-    def validate(self):
-        return check_domains(self)
-
-    def echo(self):
-        return "\n".join(f"{key}={getattr(*_slot(self, key))}" for key in sorted(KEYS))
+    __post_init__ = check_domains
 
 
 _KEY_OF_FIELD = {"learning_rate": "lr"}
@@ -55,21 +53,16 @@ def _key_table():
 KEYS = _key_table()
 
 
-def _slot(cfg, key):
-    """(object, attribute name) that holds config key `key` of `cfg`."""
-    section, f = KEYS[key]
-    return (cfg if section is None else getattr(cfg, section)), f.name
-
-
-def _set(cfg, key, raw):
-    with suppress(ValueError):  # a string left unparsed fails validate's type check
-        raw = KEYS[key][1].type(raw)
-    setattr(*_slot(cfg, key), raw)
+def parse(key, raw):
+    """`raw` as key's field type, or left a string, which the domain check refuses."""
+    with suppress(ValueError):
+        return KEYS[key][1].type(raw)
+    return raw
 
 
 def load_config_file(path):
-    """Parse a key=value file; blank lines and '#' comments are ignored."""
-    cfg = RunConfig()
+    """key -> value of a key=value file; blank lines and '#' comments are ignored."""
+    values = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -85,16 +78,17 @@ def load_config_file(path):
         key = key.strip()
         if key not in KEYS:
             raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
-        _set(cfg, key, raw.strip())
-    return cfg
+        values[key] = parse(key, raw.strip())
+    return values
 
 
-def apply_overrides(cfg, overrides):
-    """Apply non-None flag values on top of file values."""
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key not in KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-        _set(cfg, key, str(value))
-    return cfg
+def build(values):
+    """The RunConfig of `values` (config key -> value; a key left out keeps its default),
+    checked run keys first, then the network section, then the train section."""
+    sections = {None: {}, "network": {}, "train": {}}
+    for key, value in values.items():
+        section, f = KEYS[key]
+        sections[section][f.name] = value
+    return replace(RunConfig(**sections[None]),
+                   network=NetworkConfig(**sections["network"]),
+                   train=TrainConfig(**sections["train"]))

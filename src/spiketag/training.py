@@ -49,8 +49,10 @@ from .tensorops import conv1d_same_input_grad, conv1d_same_kernel_grad
 PROB_FLOOR_32 = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """An immutable value, checked when made, like NetworkConfig."""
+
     batch_size: int = at_least(8, 1)
     learning_rate: float = in_domain(1e-4, "a finite number >= 0", lambda x: 0 <= x < math.inf)
     epochs: int = at_least(50, 1)
@@ -60,8 +62,7 @@ class TrainConfig:
     adam_beta2: float = in_domain(0.999, "a number in [0, 1)", lambda x: 0 <= x < 1)
     adam_eps: float = in_domain(1e-8, "a finite number > 0", lambda x: 0 < x < math.inf)
 
-    def validate(self):
-        return check_domains(self)
+    __post_init__ = check_domains
 
 
 def named_parameters(net):
@@ -364,8 +365,6 @@ def train(train_examples, val_examples, table, net_cfg: NetworkConfig,
     """
     from .data import batchify  # per call: perfbench's tracer wraps data.batchify
 
-    cfg.validate()
-    net_cfg.validate()
     if not train_examples:
         raise ConfigError("training set is empty")
     if not val_examples:

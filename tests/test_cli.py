@@ -6,10 +6,12 @@ import sys
 import numpy as np
 import pytest
 
+from spiketag import cli
 from spiketag.cli import main
+from spiketag.errors import ConfigError, DimensionError
 from spiketag.layers import NetworkConfig
 from spiketag.persistence import load, restore_network, save
-from spiketag.runconfig import KEYS
+from spiketag.runconfig import KEYS, RunConfig
 from spiketag.training import TrainConfig, named_parameters
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -575,6 +577,23 @@ def test_the_readme_lists_every_key_with_its_domain():
         assert f"- `{key}`: {f.metadata['domain']}" in readme, key
 
 
+@pytest.mark.parametrize("cls, f", [
+    pytest.param(cls, f, id=f"{cls.__name__}-{f.name}")
+    for cls in (NetworkConfig, TrainConfig, RunConfig) for f in dataclasses.fields(cls)
+])
+def test_a_config_is_a_frozen_value_checked_when_made(cls, f):
+    made = cls()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(made, f.name, getattr(made, f.name))
+    if dataclasses.is_dataclass(f.type):  # a nested config was checked when it was made
+        return
+    outside = 1 if f.type is str else "x"  # the type is part of every domain
+    with pytest.raises(ConfigError, match=f"^{f.name} must be .*, got {outside!r}$"):
+        cls(**{f.name: outside})
+    with pytest.raises(ConfigError, match=f"^{f.name} must be .*, got {outside!r}$"):
+        dataclasses.replace(made, **{f.name: outside})
+
+
 @pytest.mark.parametrize("parent", ["nodir", "a_file"])
 def test_train_refuses_a_checkpoint_outside_a_directory_before_the_first_epoch(
         capsys, tmp_path, parent):
@@ -613,3 +632,42 @@ def test_a_value_overflowing_float32_is_only_a_data_error_on_stderr(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr == f"data error: {table}:2: non-finite vector value\n"
+
+
+def test_a_non_finite_gradient_exits_three_naming_the_parameter(tmp_path):
+    # a fresh interpreter, as a user runs it; numpy's overflow warnings come first
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spiketag.cli", "train", "--config",
+         small_config(tmp_path, epochs=1, lr="1e38")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.endswith("numeric error: non-finite gradient in 0.kernels\n")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_a_failed_gradient_check_exits_three(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "grad_check", lambda cfg, seed: 2e-4)
+    code, out, err = run(capsys, "gradcheck")
+    assert code == 3
+    assert out.count("gradcheck\t") == 4 and "OK" not in out
+    assert err == "FAIL max relative error 2.000e-04 >= 1e-04\n"
+
+
+def test_any_other_package_error_exits_one(capsys, monkeypatch):
+    def mismatched(cfg, seed):
+        raise DimensionError("kernel (2, 2, 3) does not fit input (1, 3, 5)")
+
+    monkeypatch.setattr(cli, "grad_check", mismatched)
+    code, out, err = run(capsys, "gradcheck")
+    assert code == 1
+    assert err == "error: kernel (2, 2, 3) does not fit input (1, 3, 5)\n"
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = run(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: spiketag") and err == ""

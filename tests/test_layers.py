@@ -39,15 +39,15 @@ def make_encoding_layer(c, e, k, rng, decay=0.1, bias=None):
 
 
 def test_network_config_validation():
-    NetworkConfig(embedding_dim=4).validate()
+    NetworkConfig(embedding_dim=4)
     with pytest.raises(ConfigError):
-        NetworkConfig(n_spiking_conv=5).validate()
+        NetworkConfig(n_spiking_conv=5)
     with pytest.raises(ConfigError):
-        NetworkConfig(n_spiking_conv=0).validate()
+        NetworkConfig(n_spiking_conv=0)
     with pytest.raises(ConfigError):
-        NetworkConfig(time_steps=0).validate()
+        NetworkConfig(time_steps=0)
     with pytest.raises(ConfigError):
-        NetworkConfig(spike_mode="analog").validate()
+        NetworkConfig(spike_mode="analog")
 
 
 def test_zero_embeddings_zero_bias_never_spike():
@@ -312,8 +312,8 @@ def test_spike_alphabet_everywhere(small_net_cfg, small_net):
     rng = np.random.default_rng(1)
     emb = rng.normal(scale=0.5, size=(2, 5, 5)).astype(np.float32)
     for mode in ("binary", "ternary"):
-        small_net_cfg.spike_mode = mode
-        _, trace = forward(emb, small_net, small_net_cfg, checked=True)
+        cfg = dataclasses.replace(small_net_cfg, spike_mode=mode)
+        _, trace = forward(emb, small_net, cfg, checked=True)
         allowed = {0.0, 1.0} if mode == "binary" else {-1.0, 0.0, 1.0}
         for per_layer in trace.spk:
             for spk in per_layer:

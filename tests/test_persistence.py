@@ -133,18 +133,29 @@ def test_resume_reproduces_uninterrupted_run(tmp_path, toy_corpus, toy_table):
         assert np.array_equal(p, named_parameters(resumed.params)[name])
 
 
+def rewritten(path, edit):
+    """Rewrite the checkpoint at path: edit(header, payload) changes its JSON
+    header in place and returns the new payload."""
+    blob = path.read_bytes()
+    n = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16 : 16 + n])
+    payload = edit(header, blob[16 + n :])
+    new = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:8] + len(new).to_bytes(8, "little") + new + payload)
+    return str(path)
+
+
 def saved_with_header_edit(tmp_path, edit):
     """Save a checkpoint, then rewrite its JSON header with edit(header)."""
     ckpt, _ = make_checkpoint()
     path = tmp_path / "edited.ckpt"
     save(ckpt, str(path))
-    blob = path.read_bytes()
-    n = int.from_bytes(blob[8:16], "little")
-    header = json.loads(blob[16 : 16 + n])
-    edit(header)
-    new = json.dumps(header).encode("utf-8")
-    path.write_bytes(blob[:8] + len(new).to_bytes(8, "little") + new + blob[16 + n :])
-    return str(path)
+
+    def edit_header(header, payload):
+        edit(header)
+        return payload
+
+    return rewritten(path, edit_header)
 
 
 def assert_data_error(path, match, capsys):
@@ -153,7 +164,9 @@ def assert_data_error(path, match, capsys):
     code = main(["eval", "--data", os.path.join(FIXTURES, "toy40.tsv"),
                  "--embeddings", os.path.join(FIXTURES, "toy_embeddings.txt"),
                  "--ckpt", path])
-    assert code == 2, capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("data error: ") and path in err and "Traceback" not in err
 
 
 def test_header_without_tensor_manifest_rejected(tmp_path, capsys):
@@ -205,6 +218,96 @@ def test_tensor_named_twice_in_the_manifest_rejected(tmp_path, capsys):
 
     path = saved_with_header_edit(tmp_path, duplicate_bias)
     assert_data_error(path, "0.bias", capsys)
+
+
+def toy40_checkpoint(tmp_path, edit):
+    """A C=3 checkpoint that `spiketag eval` runs on the toy40 fixtures, saved
+    and then rewritten by edit (see rewritten)."""
+    net_cfg = NetworkConfig(embedding_dim=16, channels=3, n_spiking_conv=1)
+    net = init_network(net_cfg, np.random.default_rng(0), dtype=np.float32)
+    path = tmp_path / "toy40.ckpt"
+    save(checkpoint_from_training(net, net_cfg, TrainConfig()), str(path))
+    return rewritten(path, edit)
+
+
+def entry(header, name):
+    return next(e for e in header["tensors"] if e["name"] == name)
+
+
+def trailing_bytes(header, payload):
+    return payload + bytes(100)
+
+
+def overlapping_bias(header, payload):
+    entry(header, "0.bias")["offset"] -= 4  # its first float is the kernels' last
+    return payload
+
+
+def gap_before_bias(header, payload):
+    bias = entry(header, "0.bias")["offset"]
+    for e in header["tensors"]:
+        e["offset"] += 4 * (e["offset"] >= bias)
+    return payload[:bias] + bytes(4) + payload[bias:]
+
+
+def wrapping_int64_size(header, payload):
+    entry(header, "0.bias").update(shape=[2**62, 4], nbytes=0)
+    return payload
+
+
+def overflowing_c_long(header, payload):
+    entry(header, "0.bias").update(shape=[2**70], nbytes=2**72)
+    return payload
+
+
+TILING = r"tensor 0\.bias starts at payload byte \d+, not \d+: the manifest's tensors must tile"
+
+
+@pytest.mark.parametrize("edit, match", [pytest.param(*case, id=case[0].__name__) for case in [
+    (trailing_bytes, r"100 payload bytes follow the end of the last tensor, 2\.bias$"),
+    (overlapping_bias, TILING),
+    (gap_before_bias, TILING),
+    (wrapping_int64_size, r"tensor 0\.bias declares shape \(4611686018427387904, 4\) but 0 bytes"),
+    (overflowing_c_long, r"truncated inside the payload at 0\.bias$"),
+]])
+def test_the_manifest_tiles_the_payload_exactly(tmp_path, capsys, edit, match):
+    assert_data_error(toy40_checkpoint(tmp_path, edit), match, capsys)
+
+
+def raw(blob):
+    def write(tmp_path):
+        (tmp_path / "raw.ckpt").write_bytes(blob)
+        return str(tmp_path / "raw.ckpt")
+    return write
+
+
+def a_directory(tmp_path):
+    (tmp_path / "model.ckpt").mkdir()
+    return str(tmp_path / "model.ckpt")
+
+
+def header_edit(edit):
+    return lambda tmp_path: saved_with_header_edit(tmp_path, edit)
+
+
+@pytest.mark.parametrize("write, match", [pytest.param(*case[1:], id=case[0]) for case in [
+    ("a-directory", a_directory, "cannot read checkpoint"),
+    ("truncated-before-header-length", raw(MAGIC + bytes(3)), "before the header length"),
+    ("header-not-json", raw(MAGIC + (9).to_bytes(8, "little") + b"{not json"), "not valid JSON"),
+    ("header-not-an-object", raw(MAGIC + (6).to_bytes(8, "little") + b"[1, 2]"),
+     "not a JSON object"),
+    ("nbytes-disagrees-with-shape", header_edit(lambda h: h["tensors"][1].update(nbytes=8)),
+     "declares shape"),
+    ("meta-not-a-dict", header_edit(lambda h: h.update(meta=[1])), "'meta' is not a dict"),
+    ("entry-lacks-a-key", header_edit(lambda h: h["tensors"][0].pop("offset")),
+     "malformed tensor manifest entry"),
+    ("negative-shape", header_edit(lambda h: h["tensors"][0].update(shape=[-3, 4, 5])),
+     "non-integer or negative shape"),
+    ("non-integer-shape", header_edit(lambda h: h["tensors"][0].update(shape=[1.5])),
+     "non-integer or negative shape"),
+]])
+def test_every_refused_checkpoint_is_a_data_error_naming_it(tmp_path, capsys, write, match):
+    assert_data_error(write(tmp_path), match, capsys)
 
 
 def test_checkpoint_of_a_run_with_no_epochs_rejected(tmp_path, capsys):

@@ -237,7 +237,7 @@ def test_gradients_invariant_under_prob_normalization():
 def test_backward_single_step_equals_first_slice():
     # with T=1 the accumulation has exactly one term
     cfg, net, emb, labels, mask = tiny_setup(seed=5)
-    cfg.time_steps = 1
+    cfg = dataclasses.replace(cfg, time_steps=1)
     _, trace = forward(emb, net, cfg, mask=mask)
     grads = backward(trace, labels, mask, net, cfg)
     # decay-weight gradients must be zero: they need a t-1 state
