@@ -1,9 +1,10 @@
 """Operator command line: train, eval, predict, energy, gradcheck, inspect.
 
-Every subcommand reads an optional --config key=value file, applies flag
-overrides, echoes the effective configuration, checks every key against its
-domain, and then runs. Exit codes: 0 success, 1 usage or configuration
-problem (running out of memory included), 2 data problem, 3 numeric failure.
+Every subcommand reads an optional --config key=value file, applies the
+flags it takes (only those it reads), echoes the effective configuration,
+checks every key against its domain, and then runs. Exit codes: 0 success,
+1 usage or configuration problem (running out of memory included), 2 data
+problem, 3 numeric failure.
 """
 
 import argparse
@@ -43,6 +44,16 @@ EXIT_NUMERIC = 3
 
 GRADCHECK_TOLERANCE = 1e-4
 
+# flag -> add_argument options; argparse's dest (--spike-mode: spike_mode) is its key
+FLAGS = {
+    "--data": {"help": "corpus path (token<TAB>label)"},
+    "--embeddings": {"help": "embedding table path"},
+    "--ckpt": {"help": "checkpoint path"},
+    "--out": {"help": "output directory"},
+    "--seed": {"type": int}, "--lr": {"type": float}, "--epochs": {"type": int},
+    "--spike-mode": {}, "--time-steps": {"type": int},
+}
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -52,36 +63,24 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add(command, help, *flags):
+        """The command's parser: --config, then the FLAGS it reads."""
+        p = sub.add_parser(command, help=help)
         p.add_argument("--config", help="key=value configuration file")
-        p.add_argument("--data", help="corpus path (token<TAB>label)")
-        p.add_argument("--embeddings", help="embedding table path")
-        p.add_argument("--ckpt", help="checkpoint path")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--spike-mode", dest="spike_mode")
-        p.add_argument("--time-steps", dest="time_steps", type=int)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        return p
 
-    p_train = sub.add_parser("train", help="train and write the best checkpoint")
-    add_common(p_train)
-    p_eval = sub.add_parser("eval", help="score a checkpoint on a labeled corpus")
-    add_common(p_eval)
-    p_predict = sub.add_parser("predict", help="label raw sentences")
-    add_common(p_predict)
-    p_predict.add_argument("input", help="token-per-line sentences, blank-line separated")
-    p_energy = sub.add_parser("energy", help="profile inference cost")
-    add_common(p_energy)
-    p_energy.add_argument(
-        "--dnn-flops", dest="dnn_flops", type=float,
-        help="print the dense-model energy for this FLOP count and exit",
-    )
-    p_grad = sub.add_parser("gradcheck", help="finite-difference gradient validation")
-    add_common(p_grad)
-    p_inspect = sub.add_parser("inspect", help="per-token spike counts for one sentence")
-    add_common(p_inspect)
-    p_inspect.add_argument("sentence", help="whitespace-tokenized sentence")
+    add("train", "train and write the best checkpoint", *FLAGS)
+    add("eval", "score a checkpoint on a labeled corpus", "--data", "--embeddings", "--ckpt")
+    add("predict", "label raw sentences", "--embeddings", "--ckpt").add_argument(
+        "input", help="token-per-line sentences, blank-line separated")
+    add("energy", "profile inference cost", "--data", "--embeddings", "--ckpt",
+        "--seed").add_argument("--dnn-flops", type=float, help="print the dense-model "
+                               "energy for this FLOP count and exit")
+    add("gradcheck", "finite-difference gradient validation", "--seed")
+    add("inspect", "per-token spike counts for one sentence", "--embeddings",
+        "--ckpt").add_argument("sentence", help="whitespace-tokenized sentence")
     return parser
 
 

@@ -5,7 +5,6 @@ in {O, B, I}, blank line between sentences. Embedding files are text: an
 optional "count dim" header line, then "token v1 ... vE" per line.
 """
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,11 +153,10 @@ def load_embeddings(path):
     float32 like Python's float(). A chunk it rejects is re-read line by
     line with float(), which names the bad line or accepts a numeral numpy
     does not read (such as "1_0"). Each parsed chunk is written into the one
-    table matrix, sized by the header's count when there is one.
+    table matrix, which grows as chunks arrive; a header's count sizes nothing.
     """
     rows = {}  # token -> row, first occurrences in file order
     dim = None
-    room = 0  # vectors to allocate for up front: the header's count, if plausible
     duplicates = 0
     matrix = None  # (capacity, dim) float32; rows :len(rows) - len(pending) are parsed
     pending = []  # (line number, value text) of first occurrences not yet parsed
@@ -168,15 +166,12 @@ def load_embeddings(path):
             continue
         if line_no == 1 and len(line.split()) == 2:
             try:
-                count, dim = int(parts[0]), int(parts[1])
+                _, dim = int(parts[0]), int(parts[1])
             except ValueError:
                 pass
             else:  # header "count dim"
                 if dim < 1:
                     raise ParseError(f"header dim {dim} is below 1", path=path, line=line_no)
-                # a vector line holds at least 2 * dim + 1 characters, so the
-                # file's size caps the count: a false one cannot size a huge matrix
-                room = min(count, os.path.getsize(path) // (2 * dim + 1))
                 continue
         token = parts[0]
         rest = parts[1] if len(parts) == 2 else ""
@@ -197,12 +192,10 @@ def load_embeddings(path):
         rows[token] = len(rows)
         pending.append((line_no, rest))
         if len(pending) == CHUNK_LINES:
-            matrix = _store(matrix, len(rows) - len(pending),
-                            _parse_values(pending, dim, path), room)
+            matrix = _store(matrix, len(rows) - len(pending), _parse_values(pending, dim, path))
             pending = []
     if pending:
-        matrix = _store(matrix, len(rows) - len(pending),
-                        _parse_values(pending, dim, path), room)
+        matrix = _store(matrix, len(rows) - len(pending), _parse_values(pending, dim, path))
     if not rows:
         raise ParseError("embedding file holds no vectors", path=path, line=0)
     if len(matrix) != len(rows) + 1:
@@ -212,18 +205,18 @@ def load_embeddings(path):
                           duplicate_tokens=duplicates, matrix=matrix)
 
 
-def _store(matrix, at, values, room):
+def _store(matrix, at, values):
     """matrix with values written from row `at`, allocated or grown to fit
     them and a spare row for unk.
 
-    The first chunk allocates room vectors and unk's row, or more if the
-    chunk needs it. A matrix that is full grows by a quarter, or to fit the
-    chunk if that is more; load_embeddings trims the spare rows at the end.
+    The first chunk allocates its rows and unk's. A matrix that is full grows
+    by a quarter, or to fit the chunk if that is more; load_embeddings trims
+    the spare rows at the end.
     """
     n, dim = values.shape
     need = at + n + 1
     if matrix is None:
-        matrix = np.empty((max(need, room + 1), dim), dtype=np.float32)
+        matrix = np.empty((need, dim), dtype=np.float32)
     elif need > len(matrix):
         matrix.resize((max(need, len(matrix) + len(matrix) // 4), dim), refcheck=False)
     matrix[at:at + n] = values

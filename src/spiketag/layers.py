@@ -38,8 +38,10 @@ every traced forward stays serial.
 
 forward turns a missing validity mask into ones; below it every step takes
 the mask as given. Padded positions have their embeddings and emitted spikes
-zeroed, so a sentence's outputs do not depend on how much padding its batch
-happens to carry.
+zeroed, so in exact arithmetic a sentence's outputs do not depend on how much
+padding its batch happens to carry. In floating point they are not bit for bit
+the same: a GEMM's rounding depends on its row count, so prob_class moves by
+ulps with the batch's rows.
 """
 
 import math
@@ -136,9 +138,10 @@ class LayerParams:
     kernels is (Cout, Cin, K) for the encoder and the spiking convs and (|Y|, C)
     for the output decoder. w_scd/w_vd are the neurons' per-channel decay
     weights, unconstrained reals; w_fv_pos/w_fv_neg the scalar weights a
-    spiking conv puts on its input spikes (binary mode ignores w_fv_neg). A
-    field the layer lacks is None: the decoder has no neurons, and the
-    encoder's drive is the raw conv output.
+    spiking conv puts on its +1 and -1 input spikes. A field the layer lacks
+    is None: the decoder has no neurons, the encoder's drive is the raw conv
+    output, and a binary spiking conv, whose input is never -1, has no
+    w_fv_neg.
     """
 
     kernels: np.ndarray
@@ -175,7 +178,8 @@ def init_network(cfg: NetworkConfig, rng, dtype=np.float32):
     ]
     for layer in net[1:]:  # the spiking convs weight their input spikes
         layer.w_fv_pos = np.asarray(1.0, dtype=dtype)
-        layer.w_fv_neg = np.asarray(1.0, dtype=dtype)
+        if cfg.spike_mode == TERNARY:  # a binary spike is never -1
+            layer.w_fv_neg = np.asarray(1.0, dtype=dtype)
     net.append(
         LayerParams(
             kernels=glorot_uniform(rng, (N_CLASSES, c), c, N_CLASSES, dtype),

@@ -219,7 +219,6 @@ def backward(trace, labels, mask, net, cfg: NetworkConfig):
         # wspk = w_fv_pos * spk (binary), w_fv_pos * spk+ + w_fv_neg * spk- (ternary)
         if mode == BINARY:
             grads[f"{li}.w_fv_pos"] = np.asarray((spk_in * d_wspk).sum())
-            grads[f"{li}.w_fv_neg"] = np.zeros_like(layer.w_fv_neg)
             d_wspk *= layer.w_fv_pos
         else:
             grads[f"{li}.w_fv_pos"] = np.asarray((np.maximum(spk_in, 0.0) * d_wspk).sum())
@@ -385,9 +384,11 @@ def train(train_examples, val_examples, table, net_cfg: NetworkConfig,
         loss_sum = 0.0
         n_examples = 0
         for batch in batches:
-            prob, trace = forward(batch.embeddings, net, net_cfg, mask=batch.mask)
-            loss = cross_entropy(prob, batch.labels, batch.mask)
-            grads = backward(trace, batch.labels, batch.mask, net, net_cfg)
+            # an overflow's one report is optimizer_step's error naming its gradient
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                prob, trace = forward(batch.embeddings, net, net_cfg, mask=batch.mask)
+                loss = cross_entropy(prob, batch.labels, batch.mask)
+                grads = backward(trace, batch.labels, batch.mask, net, net_cfg)
             optimizer_step(net, grads, opt_state, cfg)
             b = batch.labels.shape[0]
             loss_sum += loss * b

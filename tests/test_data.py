@@ -265,8 +265,8 @@ def test_generated_table_has_the_unk_of_its_written_and_loaded_copy(tmp_path, di
 
 @pytest.mark.parametrize("announced", [3, 0, 1, -5, 10**12])
 def test_a_wrong_header_count_only_sizes_the_parse(tmp_path, announced):
-    # the count sizes the matrix the chunks are written into, capped by the
-    # file's size; a short count grows it, and the table is the same either way
+    # the count sizes nothing: the matrix grows as chunks arrive, as for a
+    # headerless file, so the table is the same whatever the count
     body = "a 1 2\nb 3 4\na 5 6\nc 7 8\n"
     plain = load_embeddings(write(tmp_path, "plain.txt", body))
     headed = load_embeddings(write(tmp_path, "headed.txt", f"{announced} 2\n" + body))

@@ -641,7 +641,8 @@ def test_forward_matches_timestep_major_oracle():
             layer.w_vd[...] = rng.uniform(-0.5, 0.9, size=cfg.channels)
         for layer in net[1:-1]:
             layer.w_fv_pos[...] = 0.8
-            layer.w_fv_neg[...] = 1.3
+            if mode == "ternary":  # a binary layer has no w_fv_neg
+                layer.w_fv_neg[...] = 1.3
         emb = rng.normal(size=(2, 5, 3))
         mask = np.ones((2, 5))
         mask[1, 3:] = 0.0

@@ -261,10 +261,10 @@ def test_backward_gives_each_parameter_its_gradient_in_parameter_order(mode, dty
         assert isinstance(grads[name], np.ndarray)
         assert (grads[name].shape, grads[name].dtype) == (p.shape, p.dtype), name
     fv_neg = [name for name in params if name.endswith(".w_fv_neg")]
-    assert fv_neg == ["1.w_fv_neg", "2.w_fv_neg"]
+    # binary mode has no negative spikes, so only a ternary spiking conv has w_fv_neg
+    assert fv_neg == (["1.w_fv_neg", "2.w_fv_neg"] if mode == "ternary" else [])
     for name in fv_neg:
-        # binary mode has no negative spikes, so w_fv_neg never reaches the loss
-        assert (grads[name] == 0).all() == (mode == "binary"), name
+        assert grads[name].any(), name
 
 
 def test_optimizer_sgd_arithmetic():
