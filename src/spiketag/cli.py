@@ -44,14 +44,14 @@ EXIT_NUMERIC = 3
 
 GRADCHECK_TOLERANCE = 1e-4
 
-# flag -> add_argument options; argparse's dest (--spike-mode: spike_mode) is its key
+# flag -> add_argument options; argparse's dest (--spike-mode: spike_mode) is its key,
+# whose field type parses the value, as for a file value
 FLAGS = {
     "--data": {"help": "corpus path (token<TAB>label)"},
     "--embeddings": {"help": "embedding table path"},
     "--ckpt": {"help": "checkpoint path"},
     "--out": {"help": "output directory"},
-    "--seed": {"type": int}, "--lr": {"type": float}, "--epochs": {"type": int},
-    "--spike-mode": {}, "--time-steps": {"type": int},
+    "--seed": {}, "--lr": {}, "--epochs": {}, "--spike-mode": {}, "--time-steps": {},
 }
 
 
@@ -88,7 +88,7 @@ def effective_config(args):
     values = {key: f.default for key, (_, f) in KEYS.items()}
     if args.config:
         values.update(load_config_file(args.config))
-    values.update((key, parse(key, str(flag))) for key, flag in vars(args).items()
+    values.update((key, parse(key, flag)) for key, flag in vars(args).items()
                   if key in KEYS and flag is not None)
     print("\n".join(f"{key}={values[key]}" for key in sorted(values)))
     return build(values)

@@ -98,13 +98,11 @@ def load_corpus(path, mode="strict"):
 
     Lines are checked as they are read, so an error names the first bad
     line in the file. strict mode rejects an I that follows O or starts a
-    sentence; lenient mode rewrites it to B (the repair count is tallied on
-    the function attribute `last_repairs` for reporting).
+    sentence; lenient mode rewrites it to B.
     """
     if mode not in CORPUS_MODES:
         raise ConfigError(f"unknown corpus mode {mode!r}")
     examples = []
-    repairs = 0
     for block in read_blocks(path):
         tokens, labels = [], []
         prev = "O"
@@ -123,16 +121,11 @@ def load_corpus(path, mode="strict"):
                         "label I follows O or sentence start", path=path, line=line_no
                     )
                 label = "B"
-                repairs += 1
             tokens.append(token)
             labels.append(label)
             prev = label
         examples.append(Example(tokens=tokens, labels=labels))
-    load_corpus.last_repairs = repairs
     return examples
-
-
-load_corpus.last_repairs = 0
 
 
 def write_corpus(examples, path):

@@ -101,7 +101,7 @@ def profile_network(net, batch, cfg) -> EnergyReport:
     layer (split into a negative-spike share for the ternary sign cost).
     """
     _, trace = forward(batch.embeddings, net, cfg, mask=batch.mask)
-    mean_len = float(batch.mask.sum() / batch.mask.shape[0])
+    mean_len = float(batch.mask.sum()) / batch.mask.shape[0]  # divided in float64
     t = cfg.time_steps
     report = EnergyReport()
 

@@ -51,6 +51,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
+from .data import LABELS
 from .errors import ConfigError, DimensionError, ValidationError
 from .neuron import (
     BINARY,
@@ -63,7 +64,7 @@ from .neuron import (
 )
 from .tensorops import conv1d_same
 
-N_CLASSES = 3  # O, B, I
+N_CLASSES = len(LABELS)
 
 # An untraced forward splits its batch over at most two threads, and only
 # when a step's state has at least SPLIT_MIN_ELEMENTS (B*R*C) elements.
@@ -334,8 +335,8 @@ def forward(batch_embeddings, net, cfg: NetworkConfig, mask=None, soft=False,
     a worker thread while the calling thread runs the rest, each part cut to
     its own longest real row. probs_t and prob_class are assembled at full
     (B, R), their padded positions holding what the serial forward computes
-    there. A worker's exception is raised here, and no thread outlives the
-    call.
+    there. The worker runs under the caller's np.errstate. A worker's
+    exception is raised here, and no thread outlives the call.
     """
     if len(net) != cfg.n_spiking_conv + 2:
         raise ConfigError(
@@ -356,10 +357,12 @@ def forward(batch_embeddings, net, cfg: NetworkConfig, mask=None, soft=False,
         from concurrent.futures import ThreadPoolExecutor
 
         h, first_len, second_len = _split_by_work(_real_ends(mask))
+        err = np.geterr()  # numpy's error handling is per thread: the worker takes ours
 
         def run_part(rows, length):
-            return _run_stack(emb[rows, :length], mask[rows, :length], net, cfg, soft,
-                              checked, keep_trace=False)
+            with np.errstate(**err):
+                return _run_stack(emb[rows, :length], mask[rows, :length], net, cfg, soft,
+                                  checked, keep_trace=False)
 
         with ThreadPoolExecutor(1) as worker:
             second = worker.submit(run_part, slice(h, None), second_len)

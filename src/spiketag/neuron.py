@@ -51,11 +51,6 @@ class NeuronState:
         )
 
 
-def heaviside(v, out):
-    """Write 1 where v >= 0, else 0 (H(0) = 1), into out; returns out."""
-    return np.greater_equal(v, 0, out=out)
-
-
 def ternary_threshold(v, v_thr, out):
     """Write +1 where v >= v_thr, -1 where v <= -v_thr, else 0, into out; returns out."""
     return np.subtract(v >= v_thr, v <= -v_thr, dtype=out.dtype, out=out)
@@ -115,8 +110,9 @@ def lif_step(prev, drive, params, cfg, soft=False, *, out):
 
     params is the layer's LayerParams; the step reads its decay weights w_scd
     and w_vd. drive is the already-weighted postsynaptic drive, state-shaped.
-    The step fires in cfg.spike_mode at cfg.v_thr (+/-cfg.v_thr in ternary
-    mode); soft spikes use cfg.alpha and cfg.surrogate_centering.
+    The step fires in cfg.spike_mode where v >= cfg.v_thr (and, in ternary
+    mode, -1 where v <= -cfg.v_thr), comparing in v's dtype; soft spikes use
+    cfg.alpha and cfg.surrogate_centering.
     Returns (spikes, next_state); next_state stores the pre-reset membrane
     potential, the reset taking effect at the following step via (1 - |spk|).
 
@@ -137,5 +133,5 @@ def lif_step(prev, drive, params, cfg, soft=False, *, out):
     elif cfg.spike_mode == TERNARY:
         ternary_threshold(v, cfg.v_thr, out=out.spk)
     else:
-        heaviside(np.subtract(v, cfg.v_thr, out=out.spk), out.spk)
+        np.greater_equal(v, cfg.v_thr, out=out.spk)
     return out.spk, out

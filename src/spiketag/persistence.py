@@ -7,10 +7,12 @@ Layout, byte-exact:
     bytes 16..16+H-1  UTF-8 JSON header
     remainder     tensor payloads, 32-bit IEEE-754 little-endian, row-major
 
-The JSON header carries {"version", "network", "train", "meta", "tensors"}
-where "tensors" is a manifest of {"name", "shape", "offset", "nbytes"} with
-offsets relative to the start of the payload region. Optimizer moments are
-stored as ordinary tensors so a resumed run is bit-deterministic.
+The JSON header carries {"version", "network", "train", "meta", "tensors"}.
+"version" is FORMAT_VERSION, which save writes and the only one load
+accepts, so a loaded Checkpoint does not record it. "tensors" is a manifest
+of {"name", "shape", "offset", "nbytes"} with offsets relative to the start
+of the payload region. Optimizer moments are stored as ordinary tensors so a
+resumed run is bit-deterministic.
 """
 
 import contextlib
@@ -38,7 +40,6 @@ class Checkpoint:
     train_cfg: TrainConfig
     tensors: dict  # name -> np.ndarray
     meta: dict = field(default_factory=dict)
-    version: int = FORMAT_VERSION
 
 
 def save(checkpoint: Checkpoint, path):
@@ -62,7 +63,7 @@ def save(checkpoint: Checkpoint, path):
         )
         payload.extend(data)
     header = {
-        "version": checkpoint.version,
+        "version": FORMAT_VERSION,
         "network": dataclasses.asdict(checkpoint.net_cfg),
         "train": dataclasses.asdict(checkpoint.train_cfg),
         "meta": checkpoint.meta,
@@ -141,7 +142,6 @@ def load(path) -> Checkpoint:
         train_cfg=train_cfg,
         tensors=tensors,
         meta=header.get("meta", {}),
-        version=version,
     )
 
 

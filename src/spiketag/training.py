@@ -31,9 +31,11 @@ from functools import cached_property
 
 import numpy as np
 
+from . import data, metrics
 from .errors import ConfigError, DimensionError, NumericError
 from .layers import (
     N_CLASSES,
+    LayerParams,
     NetworkConfig,
     at_least,
     check_domains,
@@ -170,7 +172,8 @@ def backward(trace, labels, mask, net, cfg: NetworkConfig):
     trace must come from forward() on the same batch and parameters. Layers
     are visited deepest first: an elementwise adjoint scan over t, then one
     kernel-gradient and one input-gradient convolution over all T*B rows.
-    Each gradient is assigned once; the dict is in named_parameters order.
+    Each layer's gradients are one LayerParams record, so the dict is their
+    named_parameters: the checkpoint names, in the network's order.
     """
     if trace.prob_class is None or len(trace.probs_t) != cfg.time_steps:
         raise ConfigError("trace does not match the configured time_steps")
@@ -182,59 +185,57 @@ def backward(trace, labels, mask, net, cfg: NetworkConfig):
     t_steps = cfg.time_steps
     b, r = trace.embeddings.shape[:2]
     rows = t_steps * b
-    mask_col = trace.mask[:, :, None]
 
-    grads = {}
+    grads = [None] * len(net)  # one LayerParams of gradients per layer
     g_prob = _prob_adjoint(trace.prob_class, labels, mask)
 
-    # output decoder: each timestep's softmax feeds prob_class additively.
-    # It reads masked spikes, so masking d_logits covers both of its products.
-    out = len(net) - 1
+    # output decoder: each timestep's softmax feeds prob_class additively. The
+    # token weights are zero at padding, so d_logits is (signed) zero there.
     p = trace.probs_t
     d_logits = p * (g_prob - (g_prob * p).sum(axis=-1, keepdims=True))
-    d_logits *= mask_col
-    grads[f"{out}.kernels"] = np.tensordot(
-        d_logits, trace.spk[out - 1], axes=([0, 1, 2], [0, 1, 2])
+    grads[-1] = LayerParams(
+        kernels=np.tensordot(d_logits, trace.spk[-1], axes=([0, 1, 2], [0, 1, 2])),
+        bias=d_logits.sum(axis=(0, 1, 2)),
     )
-    grads[f"{out}.bias"] = d_logits.sum(axis=(0, 1, 2))
     d_spk = (d_logits.reshape(-1, N_CLASSES) @ out_layer.kernels).reshape(t_steps, b, r, -1)
 
     # spiking conv layers, deepest first; only the current layer's adjoint is alive
     for li in range(len(spiking) - 1, 0, -1):
         layer = spiking[li]
-        d_drive, grads[f"{li}.w_scd"], grads[f"{li}.w_vd"] = _adjoint_scan(
-            trace, li, d_spk, layer, cfg)
-        grads[f"{li}.bias"] = d_drive.sum(axis=(0, 1, 2))
+        d_drive, g_scd, g_vd = _adjoint_scan(trace, li, d_spk, layer, cfg)
         spk_in = trace.spk[li - 1]
         wspk = weighted_spikes(spk_in, layer, mode, trace.mask)
-        grads[f"{li}.kernels"] = conv1d_same_kernel_grad(
-            wspk.reshape(rows, r, -1), d_drive.reshape(rows, r, -1), layer.kernels.shape[2]
+        g = grads[li] = LayerParams(
+            kernels=conv1d_same_kernel_grad(wspk.reshape(rows, r, -1),
+                                            d_drive.reshape(rows, r, -1),
+                                            layer.kernels.shape[2]),
+            bias=d_drive.sum(axis=(0, 1, 2)), w_scd=g_scd, w_vd=g_vd,
         )
         del wspk
         d_wspk = conv1d_same_input_grad(
             d_drive.reshape(rows, r, -1), layer.kernels, r
         ).reshape(spk_in.shape)
         del d_drive, d_spk  # from here on only the next layer's adjoint is kept
-        d_wspk *= mask_col
+        d_wspk *= trace.mask[:, :, None]
         # wspk = w_fv_pos * spk (binary), w_fv_pos * spk+ + w_fv_neg * spk- (ternary)
         if mode == BINARY:
-            grads[f"{li}.w_fv_pos"] = np.asarray((spk_in * d_wspk).sum())
+            g.w_fv_pos = np.asarray((spk_in * d_wspk).sum())
             d_wspk *= layer.w_fv_pos
         else:
-            grads[f"{li}.w_fv_pos"] = np.asarray((np.maximum(spk_in, 0.0) * d_wspk).sum())
-            grads[f"{li}.w_fv_neg"] = np.asarray((np.minimum(spk_in, 0.0) * d_wspk).sum())
+            g.w_fv_pos = np.asarray((np.maximum(spk_in, 0.0) * d_wspk).sum())
+            g.w_fv_neg = np.asarray((np.minimum(spk_in, 0.0) * d_wspk).sum())
             d_wspk *= layer.w_fv_pos * (spk_in > 0) + layer.w_fv_neg * (spk_in < 0)
         d_spk = d_wspk
 
     # encoder: its drive is the same at every t, so its kernels see sum_t dL/ddrive_t
     enc = spiking[0]
-    d_drive, grads["0.w_scd"], grads["0.w_vd"] = _adjoint_scan(
-        trace, 0, d_spk, enc, cfg)
-    grads["0.bias"] = d_drive.sum(axis=(0, 1, 2))
-    grads["0.kernels"] = conv1d_same_kernel_grad(
-        trace.embeddings, d_drive.sum(axis=0), enc.kernels.shape[2]
+    d_drive, g_scd, g_vd = _adjoint_scan(trace, 0, d_spk, enc, cfg)
+    grads[0] = LayerParams(
+        kernels=conv1d_same_kernel_grad(trace.embeddings, d_drive.sum(axis=0),
+                                        enc.kernels.shape[2]),
+        bias=d_drive.sum(axis=(0, 1, 2)), w_scd=g_scd, w_vd=g_vd,
     )
-    return {name: grads[name] for name in named_parameters(net)}
+    return named_parameters(grads)
 
 
 def _views(buffer, shapes):
@@ -362,8 +363,6 @@ def train(train_examples, val_examples, table, net_cfg: NetworkConfig,
     best-validation-F1 parameters, the optimizer state at each, and one log
     row per epoch.
     """
-    from .data import batchify  # per call: perfbench's tracer wraps data.batchify
-
     if not train_examples:
         raise ConfigError("training set is empty")
     if not val_examples:
@@ -380,7 +379,7 @@ def train(train_examples, val_examples, table, net_cfg: NetworkConfig,
     )
     for epoch in range(start_epoch, cfg.epochs):
         shuffle_rng = np.random.default_rng([cfg.seed, 2, epoch])
-        batches = batchify(train_examples, table, cfg.batch_size, shuffle_rng)
+        batches = data.batchify(train_examples, table, cfg.batch_size, shuffle_rng)
         loss_sum = 0.0
         n_examples = 0
         for batch in batches:
@@ -415,14 +414,22 @@ def predict(examples, table, net, net_cfg, batch_size=8):
     order, each through one forward call, made on the calling thread, that
     keeps no trace. Inside that call a batch at or above layers'
     SPLIT_MIN_ELEMENTS runs part of its rows on a worker thread.
-    """
-    from .data import batchify  # per call, as in train
-    from .metrics import decode_bio
 
-    for batch in batchify(examples, table, batch_size):
-        prob = forward(batch.embeddings, net, net_cfg, mask=batch.mask,
-                       keep_trace=False)[0]
-        yield from zip(batch.index.tolist(), decode_bio(prob, batch.mask))
+    A forward that overflows is a NumericError, with no numpy warning:
+    numpy raises at the first overflow, since the class scores can still be
+    finite (a hard spike of a nan potential is 0). A non-finite parameter
+    spreads without raising, so non-finite scores are a NumericError too.
+    """
+    for batch in data.batchify(examples, table, batch_size):
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                prob = forward(batch.embeddings, net, net_cfg, mask=batch.mask,
+                               keep_trace=False)[0]
+        except FloatingPointError as exc:
+            raise NumericError(f"inference forward: {exc}") from None
+        if not np.isfinite(prob).all():
+            raise NumericError("non-finite class scores in an inference batch")
+        yield from zip(batch.index.tolist(), metrics.decode_bio(prob, batch.mask))
 
 
 def evaluate(examples, table, net, net_cfg, batch_size=8):
@@ -430,14 +437,12 @@ def evaluate(examples, table, net, net_cfg, batch_size=8):
 
     Spans are keyed by each sentence's position in `examples`.
     """
-    from .metrics import extract_spans, span_f1  # per call, as in train
-
     gold_spans = []
     pred_spans = []
     for sent, pred in predict(examples, table, net, net_cfg, batch_size):
-        gold_spans.extend((sent, s, e) for s, e in extract_spans(examples[sent].labels))
-        pred_spans.extend((sent, s, e) for s, e in extract_spans(pred))
-    return span_f1(gold_spans, pred_spans)
+        gold_spans.extend((sent, s, e) for s, e in metrics.extract_spans(examples[sent].labels))
+        pred_spans.extend((sent, s, e) for s, e in metrics.extract_spans(pred))
+    return metrics.span_f1(gold_spans, pred_spans)
 
 
 def tiny_gradcheck_config(mode=TERNARY, centering="zero"):

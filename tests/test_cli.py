@@ -477,6 +477,18 @@ def test_train_checks_its_config_before_reading_the_data(capsys, tmp_path, flag)
     assert "configuration error" in err and "missing.txt" not in err
 
 
+@pytest.mark.parametrize("flag, key, value", [("--seed", "seed", "x"), ("--lr", "lr", "abc"),
+                                             ("--epochs", "epochs", "2.5")])
+def test_a_flag_value_is_parsed_as_the_same_value_in_a_config_file(capsys, tmp_path, flag,
+                                                                  key, value):
+    # a flag's value goes through its key's field type, as a file value does
+    file_run = run(capsys, "train", "--config", small_config(tmp_path, **{key: value}))
+    flag_run = run(capsys, "train", "--config", small_config(tmp_path), flag, value)
+    assert file_run[0] == flag_run[0] == 1
+    assert file_run[2] == flag_run[2]
+    assert flag_run[2].startswith("configuration error: ") and flag_run[2].count("\n") == 1
+
+
 # each of these trained a network that never fires, stopped on a non-finite
 # gradient after the first step, or divided by zero in the adam update
 EARLIER_CASES = [
@@ -646,6 +658,23 @@ def test_a_non_finite_gradient_exits_three_naming_the_parameter(tmp_path):
     )
     assert proc.returncode == 3
     assert proc.stderr == "numeric error: non-finite gradient in 0.kernels\n"
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_non_finite_validation_scores_exit_three_without_a_checkpoint(tmp_path):
+    # one step per epoch: the step's gradient is finite, but lr=1e38 leaves parameters
+    # near float32's limit, and the validation pass's class scores overflow; with no
+    # numpy warning on stderr, and no checkpoint of a run that scored nothing
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spiketag.cli", "train", "--config",
+         small_config(tmp_path, epochs=1, lr="1e38", batch_size=32)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numeric error: inference forward: ")
+    assert proc.stderr.count("\n") == 1
     assert not (tmp_path / "model.ckpt").exists()
 
 

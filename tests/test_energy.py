@@ -83,7 +83,7 @@ def test_layer_energy_snn_sop_cost():
     )
 
 
-def toy_profile(mode="ternary", silence=False):
+def toy_profile(mode="ternary", silence=False, sentences=("abc", "fedab")):
     cfg = NetworkConfig(embedding_dim=4, channels=3, n_spiking_conv=2,
                         time_steps=6, spike_mode=mode)
     net = init_network(cfg, np.random.default_rng(0), dtype=np.float32)
@@ -96,9 +96,8 @@ def toy_profile(mode="ternary", silence=False):
     vocab = {c: np.random.default_rng(1).normal(scale=0.5, size=4).astype(np.float32)
              for c in "abcdef"}
     table = EmbeddingTable(dim=4, vectors=vocab, unk=np.zeros(4, np.float32))
-    examples = [Example(tokens=list("abc"), labels=["O", "B", "I"]),
-                Example(tokens=list("fedab"), labels=["O"] * 5)]
-    batch = batchify(examples, table, 2, rng=None)[0]
+    examples = [Example(tokens=list(s), labels=["O"] * len(s)) for s in sentences]
+    batch = batchify(examples, table, len(examples), rng=None)[0]
     return profile_network(net, batch, cfg), cfg
 
 
@@ -109,6 +108,14 @@ def test_profile_silent_network_costs_flops_only():
     assert report.total_energy == pytest.approx(
         sum(12.5e-12 * lp.flops for lp in flop_layers)
     )
+
+
+def test_profile_flops_take_the_mean_length_in_float64():
+    # the mask is float32, whose quotient 10/3 would move the FLOPs by ulps
+    report, cfg = toy_profile(sentences=("abc", "fedab", "ab"))
+    mean_len = 10 / 3
+    assert report.layers[0].flops == flops_conv(3, 4, mean_len, 1, cfg.kernel, 1)
+    assert report.layers[-1].flops == flops_fc(3, 3) * mean_len * cfg.time_steps
 
 
 def test_profile_totals_are_sums():

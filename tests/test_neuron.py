@@ -10,7 +10,6 @@ from spiketag.layers import LayerParams, NetworkConfig
 from spiketag.neuron import (
     NeuronState,
     atan_sigmoid,
-    heaviside,
     lif_step,
     soft_spike,
     spike_grad,
@@ -37,10 +36,16 @@ def advance(prev, drive, params, cfg):
     return lif_step(prev, drive, params, cfg, out=out)
 
 
-def test_heaviside_fires_at_zero():
-    out = np.empty(3)
-    assert heaviside(np.asarray([0.0, -0.05, 0.1]), out) is out
-    assert out.tolist() == [1.0, 0.0, 1.0]
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_binary_lif_step_fires_exactly_at_the_threshold(dtype):
+    # zero state, so v is the drive: v == v_thr fires, one ulp below does not
+    v_thr = dtype(0.7)  # the config's 0.7 rounded to the state's dtype, as the step compares
+    drive = np.asarray([[v_thr, np.nextafter(v_thr, dtype(0)), dtype(0.8), dtype(-0.7)]])
+    out = NeuronState(*(np.empty_like(drive) for _ in range(3)))
+    spk, _ = lif_step(NeuronState.zeros(drive.shape, dtype), drive,
+                      scalar_params(n=4, dtype=dtype), config("binary", v_thr=0.7), out=out)
+    assert spk is out.spk and spk.dtype == dtype
+    assert spk.tolist() == [[1.0, 0.0, 1.0, 0.0]]
 
 
 def test_ternary_threshold_cases():

@@ -9,9 +9,15 @@ conv receives and the potential each spike_grad call receives. So are the
 lif_step calls its step counts read, and the shape of an inference pass its
 end-to-end clock reads: one training.forward call per batch, on the calling
 thread, with the mask passed by keyword.
+
+The untraced run reads spiketag directly, too: every name perfbench/*.py
+imports from a spiketag module or reads off one is checked to exist.
 """
 
+import ast
+import importlib
 import importlib.util
+import inspect
 import threading
 from pathlib import Path
 
@@ -23,7 +29,8 @@ from spiketag import data, layers, metrics, training
 from spiketag.data import batchify
 from spiketag.layers import NetworkConfig, forward, init_network
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def load_tracer():
@@ -39,6 +46,37 @@ def test_every_tracer_binding_names_a_callable():
     assert len(bindings) > 3
     for module, attr, *_ in bindings:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def perfbench_reads():
+    """(module, name) of every spiketag name perfbench/*.py reads: each
+    `from spiketag.<module> import <name>`, and each `<module>.<name>` on a
+    module bound by `from spiketag import <module>`."""
+    reads = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}  # local name -> spiketag module
+        for node in ast.walk(tree):
+            assert not (isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] == "spiketag" for alias in node.names)), path
+            if isinstance(node, ast.ImportFrom) and node.module == "spiketag":
+                modules.update((alias.asname or alias.name, alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("spiketag."):
+                reads.update((node.module.split(".", 1)[1], alias.name) for alias in node.names)
+        reads.update((modules[node.value.id], node.attr) for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                     and node.value.id in modules)
+    return reads
+
+
+def test_every_spiketag_name_perfbench_reads_exists():
+    reads = perfbench_reads()
+    assert {("layers", "N_CLASSES"), ("layers", "validate_spike_alphabet"),
+            ("training", "named_parameters"), ("layers", "NetworkConfig")} <= reads
+    missing = [f"{module}.{name}" for module, name in sorted(reads)
+               if not hasattr(importlib.import_module(f"spiketag.{module}"), name)]
+    assert missing == []
+    assert "checked" in inspect.signature(layers.forward).parameters  # workloads passes it
 
 
 @pytest.fixture
@@ -209,8 +247,8 @@ def test_inference_runs_one_forward_per_batch_on_the_calling_thread(
 def test_train_and_evaluate_reach_batchify_and_the_metrics_through_their_modules(
         monkeypatch, toy_corpus, toy_table):
     # the tracer's data.batchify_ms, data.pad_ratio and metrics.* figures come
-    # from wrappers set on these module attributes; training imports them per
-    # call, and an import moved to module top would silently bypass them
+    # from wrappers set on these module attributes; training reads them off the
+    # modules at each call, where a name bound by `from` would bypass them
     cfg = NetworkConfig(time_steps=2, channels=4, kernel=3, n_spiking_conv=1,
                         embedding_dim=toy_table.dim)
     examples = toy_corpus[:8]

@@ -1,13 +1,15 @@
 import copy
 import dataclasses
 import math
+import threading
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
-from spiketag import training
+from spiketag import layers, training
 from spiketag.data import split_validation
 from spiketag.errors import ConfigError, NumericError
 from spiketag.layers import NetworkConfig, forward, init_network
@@ -472,6 +474,42 @@ def test_evaluate_drops_each_trace_before_the_next_forward(monkeypatch, toy_corp
     monkeypatch.setattr(training, "forward", spy)
     assert evaluate(examples, toy_table, net, net_cfg, batch_size=4) == alone
     assert len(traces) == 5
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+def test_an_overflowing_inference_forward_is_a_numeric_error_with_no_warning(
+        monkeypatch, toy_corpus, toy_table, split):
+    # numpy's error handling is per thread: the split forward's worker must run
+    # under predict's, or its overflow would warn instead of raising
+    monkeypatch.setattr(layers, "USABLE_CORES", 2 if split else 1)
+    monkeypatch.setattr(layers, "SPLIT_MIN_ELEMENTS", 1)
+    net_cfg = NetworkConfig(embedding_dim=16, channels=4, n_spiking_conv=1, time_steps=2)
+    net = init_network(net_cfg, np.random.default_rng(0), dtype=np.float32)
+    for p in named_parameters(net).values():
+        p[...] = 1e38
+    threads = []
+    real_encode = layers.encode_step
+
+    def spy(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return real_encode(*args, **kwargs)
+
+    monkeypatch.setattr(layers, "encode_step", spy)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericError, match="^inference forward: overflow"):
+            evaluate(toy_corpus[:8], toy_table, net, net_cfg, batch_size=8)
+    assert caught == []
+    assert len(set(threads)) == (2 if split else 1)
+
+
+def test_non_finite_class_scores_are_a_numeric_error(toy_corpus, toy_table):
+    # a nan parameter raises no floating-point flag on its way to the scores
+    net_cfg = NetworkConfig(embedding_dim=16, channels=4, n_spiking_conv=1, time_steps=2)
+    net = init_network(net_cfg, np.random.default_rng(0), dtype=np.float32)
+    net[-1].bias[0] = np.nan
+    with pytest.raises(NumericError, match="non-finite class scores"):
+        evaluate(toy_corpus[:8], toy_table, net, net_cfg)
 
 
 def test_grad_check_all_modes_and_centerings():
